@@ -71,7 +71,7 @@ class _DeepRanker(Module):
         ]
         h_s = self.encode_sequence(batch)
         if h_s is not None:
-            parts.append(h_s)
+            parts.append(batch.per_row(h_s))
         return self.head(concat(parts, axis=-1)).reshape(len(batch))
 
 

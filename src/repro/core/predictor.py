@@ -27,7 +27,7 @@ from repro.data.dataset import TargetCoinDataset
 from repro.features.assembler import FeatureAssembler
 from repro.features.coin import coin_feature_matrix
 from repro.features.market_windows import market_feature_matrix
-from repro.features.sequence import encode_history
+from repro.features.sequence import SequenceFeatures, encode_history
 from repro.markets import PAIR_SYMBOLS
 from repro.ml.scaling import StandardScaler
 from repro.nn import Module, no_grad, run_compiled, stable_sigmoid
@@ -170,7 +170,8 @@ class TargetCoinPredictor:
         # train_predictor / from_artifact; stays empty for ad-hoc builds).
         self.provenance: dict = {}
         # Shared with the assembler: encodings computed during assembly are
-        # reused by scaler fitting and offline ranking (and vice versa).
+        # reused by scaler fitting and by offline and serving ranks (and
+        # vice versa).
         self._sequence_cache = self.assembler.sequence_cache
         if scalers is not None:
             self._numeric_scaler, self._seq_scaler = scalers
@@ -290,26 +291,30 @@ class TargetCoinPredictor:
         """Score several announcements in one model forward pass.
 
         All candidate rows are concatenated into a single :class:`Batch`, so
-        N concurrent announcements cost one pass instead of N.  The model is
-        row-independent (no batch-coupled layers), hence per-row scores match
-        :meth:`rank` on each request individually.
+        N concurrent announcements cost one pass instead of N.  The batch
+        carries each request's pump history once, and the model encodes
+        it once for all of that request's candidates.  The model is
+        row-independent (no batch-coupled layers), hence per-row scores
+        match :meth:`rank` on each request individually.
 
         ``features_fn`` / ``history_fn`` override the default raw-feature and
         pump-history lookups (see :data:`FeaturesFn`, :data:`HistoryFn`) —
-        the hooks a serving cache plugs into.
+        the hooks a serving cache plugs into.  Either way the history is
+        encoded through the content-keyed sequence cache.
         """
         if not requests:
             return []
         seq_len = self.assembler.sequence_length
+        if history_fn is None:
+            def history_fn(channel_id, time):
+                return self.dataset.history_before(channel_id, time, seq_len)
         rankings: list[Ranking | None] = [None] * len(requests)
         # Requests whose candidate set turned out non-empty, in batch order.
         scored_indices: list[int] = []
         per_request_coins: list[np.ndarray] = []
         numeric_blocks: list[np.ndarray] = []
         channel_rows: list[np.ndarray] = []
-        seq_ids_rows: list[np.ndarray] = []
-        seq_numeric_rows: list[np.ndarray] = []
-        seq_mask_rows: list[np.ndarray] = []
+        histories: list[SequenceFeatures] = []
         for index, request in enumerate(requests):
             if request.channel_id not in self._channel_index:
                 raise KeyError(
@@ -340,62 +345,38 @@ class TargetCoinPredictor:
                 self._raw_numeric(request.channel_id, coins,
                                   request.pump_time, block)
             ))
-            if history_fn is not None:
-                # Caller-provided histories (e.g. the serving layer's growing
-                # per-channel cache) are mutable, so bypass the LRU.
-                with span("sequence.encode",
-                          channel_id=request.channel_id):
-                    history = history_fn(request.channel_id,
-                                         request.pump_time)
-                    seq = encode_history(self.source.market, history,
-                                         seq_len)
-            else:
-                seq = self._sequence_cache.get(
-                    request.channel_id, request.pump_time
-                )
-            seq_numeric = (
-                self._seq_scaler.transform(seq.numeric) * seq.mask[:, None]
-            )
-            n = len(coins)
+            histories.append(self._sequence_cache.encode(
+                history_fn(request.channel_id, request.pump_time),
+                encode_history,
+            ))
             per_request_coins.append(coins)
             channel_rows.append(
-                np.full(n, self._channel_index[request.channel_id])
+                np.full(len(coins), self._channel_index[request.channel_id])
             )
-            seq_ids_rows.append(np.tile(seq.coin_ids, (n, 1)))
-            seq_numeric_rows.append(np.tile(seq_numeric, (n, 1, 1)))
-            seq_mask_rows.append(np.tile(seq.mask, (n, 1)))
         if not per_request_coins:
             return rankings
         total = sum(len(c) for c in per_request_coins)
-        # A one-row batch would dispatch BLAS gemv kernels whose
-        # accumulation order differs (last-ulp) from the gemm kernels
-        # every larger batch shares; duplicating the row keeps a single-
-        # candidate announcement's score bit-identical whether it is
-        # ranked solo or coalesced into a micro-batch.  The demux loop
-        # below only reads the first ``total`` probabilities, so the
-        # padding row is never surfaced.
-        pad = total == 1
-
-        def _rows(parts, stack):
-            data = stack(parts)
-            if pad:
-                data = np.concatenate([data, data[:1]], axis=0)
-            return data
-
+        # A lone candidate or a lone history would hit BLAS gemv kernels
+        # (see Batch.pad_singletons); the demux below reads only the first
+        # ``total`` probabilities, so the padding is never surfaced.
         batch = Batch(
-            channel_idx=_rows(channel_rows, np.concatenate),
-            coin_idx=_rows(per_request_coins, np.concatenate),
-            numeric=_rows(numeric_blocks, np.vstack),
-            seq_coin_idx=_rows(seq_ids_rows, np.vstack),
-            seq_numeric=_rows(seq_numeric_rows,
-                              lambda p: np.concatenate(p, axis=0)),
-            seq_mask=_rows(seq_mask_rows, np.vstack),
-            label=np.zeros(total + int(pad)),
-        )
+            channel_idx=np.concatenate(channel_rows),
+            coin_idx=np.concatenate(per_request_coins),
+            numeric=np.vstack(numeric_blocks),
+            seq_coin_idx=np.stack([seq.coin_ids for seq in histories]),
+            seq_numeric=np.stack([
+                self._seq_scaler.transform(seq.numeric) * seq.mask[:, None]
+                for seq in histories
+            ]),
+            seq_mask=np.stack([seq.mask for seq in histories]),
+            label=np.zeros(total),
+            seq_index=np.repeat(np.arange(len(histories)),
+                                [len(c) for c in per_request_coins]),
+        ).pad_singletons()
         self.model.eval()
         # One traced plan (shared with batch evaluation and the streaming
         # service) scores the whole micro-batch; eager is the fallback.
-        with span("nn.forward", rows=total,
+        with span("nn.forward", rows=total, histories=len(histories),
                   model=type(self.model).__name__) as forward:
             logits = run_compiled(self.model, batch)
             if logits is None:

@@ -14,7 +14,7 @@ Architecture:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +44,14 @@ class SNNConfig:
 
 @dataclass
 class Batch:
-    """A model-input minibatch (plain numpy arrays)."""
+    """A model-input minibatch (plain numpy arrays).
+
+    Row arrays (``channel_idx``, ``coin_idx``, ``numeric``, ``label``)
+    hold one entry per candidate row.  The ``seq_*`` arrays hold one entry
+    per pump history, and ``seq_index`` maps every row to its history, so
+    the candidates of one announcement share a single encoding of it.
+    ``seq_index=None`` means one history per row (the training layout).
+    """
 
     channel_idx: np.ndarray
     coin_idx: np.ndarray
@@ -53,9 +60,31 @@ class Batch:
     seq_numeric: np.ndarray
     seq_mask: np.ndarray
     label: np.ndarray
+    seq_index: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.label)
+
+    def per_row(self, h_s: Tensor) -> Tensor:
+        """Gather per-history encodings ``(R, D)`` onto the rows ``(B, D)``."""
+        return h_s if self.seq_index is None else h_s[self.seq_index]
+
+    def pad_singletons(self) -> "Batch":
+        """This batch with a lone row and a lone history each doubled.
+
+        BLAS runs gemv kernels on a one-row operand, and their
+        accumulation order differs in the last ulp from the gemm kernels
+        every larger operand shares.  Doubling keeps a score bit-identical
+        whether its announcement is ranked alone or inside a micro-batch;
+        outputs past the original ``len(self)`` rows are padding.
+        """
+
+        def pad(array):
+            if array is None or len(array) != 1:
+                return array
+            return np.concatenate([array, array])
+
+        return Batch(*(pad(getattr(self, f.name)) for f in fields(self)))
 
 
 class SNN(Module):
@@ -94,8 +123,8 @@ class SNN(Module):
                         dropout=config.dropout)
 
     def encode_sequence(self, batch: Batch) -> Tensor:
-        """``h_s``: positional-attention encoding of the pump history."""
-        seq_emb = self.coin_embedding(batch.seq_coin_idx)      # (B, N, E)
+        """``h_s``: positional-attention encoding of each pump history."""
+        seq_emb = self.coin_embedding(batch.seq_coin_idx)      # (R, N, E)
         seq = concat([seq_emb, Tensor(batch.seq_numeric)], axis=-1)
         seq = seq * Tensor(batch.seq_mask[:, :, None])          # zero out PAD
         return self.attention(seq)
@@ -107,7 +136,7 @@ class SNN(Module):
         h_t = concat(
             [self.coin_embedding(batch.coin_idx), Tensor(batch.numeric)], axis=-1
         )
-        h_s = self.encode_sequence(batch)
+        h_s = batch.per_row(self.encode_sequence(batch))
         logits = self.head(concat([h_c, h_t, h_s], axis=-1))
         return logits.reshape(len(batch))
 

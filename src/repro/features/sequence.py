@@ -70,14 +70,19 @@ HistoryLookup = Callable[[int, float, int], Sequence[PnDSample]]
 
 
 class SequenceFeatureCache:
-    """LRU of encoded channel pump histories keyed by ``(channel_id, time)``.
+    """LRU of encoded pump histories keyed by the window they encode.
 
-    Feature assembly, scaler fitting and offline ranking all re-encode the
-    same channel history at the same announcement time; the encoding is a
-    market query per history sample, so memoizing it turns repeated lookups
-    into O(1).  Only valid over an *immutable* history source (the offline
-    dataset) — the serving layer, whose per-channel histories grow as
-    announcements stream in, bypasses the cache.
+    The key is the content of the window :func:`encode_history` reads:
+    the last ``length`` samples' ``(coin_id, time)`` pairs.  An encoding
+    is a market query per sample, and feature assembly, scaler fitting,
+    offline ranking and the serving layer all ask for the same windows
+    again and again, so memoizing it turns repeated lookups into O(1).
+
+    A content key is exact for any history source.  The offline dataset
+    is immutable; the serving layer's per-channel histories grow as
+    announcements stream in, and a grown history is a different window,
+    hence a miss, never a stale hit.  Windows equal in content share one
+    entry whichever channel they belong to.
     """
 
     def __init__(self, market: MarketDataSource, history_fn: HistoryLookup,
@@ -92,11 +97,23 @@ class SequenceFeatureCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self._store: "OrderedDict[tuple[int, float], SequenceFeatures]" = OrderedDict()
+        self._store: "OrderedDict[tuple, SequenceFeatures]" = OrderedDict()
 
     def get(self, channel_id: int, time: float) -> SequenceFeatures:
-        """Encoded history of ``channel_id`` strictly before ``time``."""
-        key = (channel_id, time)
+        """Encoded ``history_fn`` history of ``channel_id`` before ``time``."""
+        return self.encode(self.history_fn(channel_id, time, self.length))
+
+    def encode(self, history: Sequence[PnDSample],
+               encoder: Callable[..., SequenceFeatures] = encode_history,
+               ) -> SequenceFeatures:
+        """Encoding of a chronological ``history``'s last ``length`` samples.
+
+        ``encoder`` does the work on a miss; a caller may pass its own
+        binding of :func:`encode_history` so that its misses are made
+        through a name it owns.
+        """
+        window = list(history)[-self.length:]
+        key = tuple((s.coin_id, s.time) for s in window)
         features = self._store.get(key)
         if features is not None:
             self._store.move_to_end(key)
@@ -106,9 +123,8 @@ class SequenceFeatureCache:
         # Only the miss path opens a span: a hit is a dict lookup, and the
         # offline assembly loop calls this hot enough that even a no-op
         # span check per hit would show up.
-        with span("sequence.encode", channel_id=channel_id):
-            history = self.history_fn(channel_id, time, self.length)
-            features = encode_history(self.market, history, self.length)
+        with span("sequence.encode", positions=len(window)):
+            features = encoder(self.market, window, self.length)
         self._store[key] = features
         while len(self._store) > self.max_entries:
             self._store.popitem(last=False)

@@ -12,7 +12,9 @@ with
   preallocated per-step output buffers;
 * fused elementwise chains — affine + bias + ReLU run in place on one
   buffer, sigmoid/softmax are single vectorized expressions;
-* the head-input concatenation replaced by slice writes into one buffer.
+* the head-input concatenation replaced by slice writes into one buffer;
+* the sequence encoder run once per pump history (``Batch.seq_index``),
+  its output gathered onto the candidate rows.
 
 Every step replicates the eager op's exact floating-point expression (same
 operation order, same formulas), so compiled logits are bit-for-bit the
@@ -217,15 +219,15 @@ def _lower_mlp(head: MLP, input_key: str, output_key: str,
 
 
 def _lower_sequence_input(model, masked_key: str) -> Step:
-    """Build the masked ``(B, N, K)`` sequence tensor from raw batch arrays."""
+    """Build the masked ``(R, N, K)`` history tensor from raw batch arrays."""
     coin_embedding = model.coin_embedding
     emb_dim = coin_embedding.dim
 
     def run(ctx: dict) -> None:
         batch = ctx["batch"]
-        b, n = batch.seq_coin_idx.shape
+        r, n = batch.seq_coin_idx.shape
         k = emb_dim + batch.seq_numeric.shape[-1]
-        seq = ctx["buffers"].get("seq_input", (b, n, k))
+        seq = ctx["buffers"].get("seq_input", (r, n, k))
         seq[:, :, :emb_dim] = coin_embedding.weight.data[batch.seq_coin_idx]
         seq[:, :, emb_dim:] = batch.seq_numeric
         seq *= batch.seq_mask[:, :, None]
@@ -390,14 +392,20 @@ def _lower_ranker(model) -> tuple[list[Step], str, list[tuple[str, object]]]:
 
     steps.append(Step("embed+numeric", run_embed))
 
+    def write_h_s(ctx: dict, h_s: np.ndarray) -> None:
+        # One encoding per history, gathered onto its candidate rows.
+        index = ctx["batch"].seq_index
+        ctx["head_input"][:, ce + co + nn:] = (
+            h_s if index is None else h_s[index])
+
     if seq_dim:
         steps.append(_lower_sequence_input(model, "seq_masked"))
         if isinstance(model, SNN):
             attention = model.attention
 
             def run_seq(ctx: dict) -> None:
-                h_s = _attention_forward(attention, ctx["seq_masked"])
-                ctx["head_input"][:, ce + co + nn:] = h_s
+                write_h_s(ctx, _attention_forward(attention,
+                                                  ctx["seq_masked"]))
 
             steps.append(Step("positional_attention", run_seq))
         else:
@@ -405,8 +413,7 @@ def _lower_ranker(model) -> tuple[list[Step], str, list[tuple[str, object]]]:
 
             def run_seq(ctx: dict) -> None:
                 # Histories are newest-first; encoders read oldest-first.
-                h_s = encoder_fn(ctx["seq_masked"][:, ::-1, :])
-                ctx["head_input"][:, ce + co + nn:] = h_s
+                write_h_s(ctx, encoder_fn(ctx["seq_masked"][:, ::-1, :]))
 
             steps.append(Step("sequence_encoder", run_seq))
 
@@ -440,29 +447,31 @@ def compile_inference(model: Module, sample_batch=None) -> CompiledInference:
 def synthetic_batch(config, batch_size: int = 4, seed: int = 0):
     """A small seeded batch matching a ranker config.
 
-    Used to warm up and verify a plan before real traffic arrives; rows mix
-    full and left-padded histories so masking is exercised.
+    Used to warm up and verify a plan before real traffic arrives.  It has
+    the serving layout: two histories, one full and one left-padded (so
+    masking is exercised), each shared by half the rows through
+    ``seq_index`` (so the gather is exercised).
     """
     from repro.core.snn import Batch
 
     rng = np.random.default_rng(seed)
     pad_id = config.n_coin_ids - 1
-    seq_ids = rng.integers(0, max(pad_id, 1), size=(batch_size, config.seq_len))
-    mask = np.ones((batch_size, config.seq_len))
-    for i in range(batch_size):
-        real = rng.integers(0, config.seq_len + 1)
-        mask[i, real:] = 0.0
-        seq_ids[i, real:] = pad_id
+    seq_ids = rng.integers(0, max(pad_id, 1), size=(2, config.seq_len))
+    mask = np.ones((2, config.seq_len))
+    real = rng.integers(0, config.seq_len)
+    mask[1, real:] = 0.0
+    seq_ids[1, real:] = pad_id
     return Batch(
         channel_idx=rng.integers(0, config.n_channels, size=batch_size),
         coin_idx=rng.integers(0, max(pad_id, 1), size=batch_size),
         numeric=rng.normal(size=(batch_size, config.n_numeric)),
         seq_coin_idx=seq_ids,
         seq_numeric=rng.normal(
-            size=(batch_size, config.seq_len, config.n_seq_numeric)
+            size=(2, config.seq_len, config.n_seq_numeric)
         ) * mask[:, :, None],
         seq_mask=mask,
         label=np.zeros(batch_size),
+        seq_index=np.arange(batch_size) * 2 // batch_size,
     )
 
 

@@ -145,6 +145,28 @@ class TestSpanTree:
 
         check(root)
 
+    def test_forward_span_records_rows_and_histories(self, observed,
+                                                     test_positives):
+        """One announcement: every candidate row, one encoded history;
+        the history is encoded on the first rank only (a cache miss)."""
+        _app, _hub, _server, client = observed
+        announcement = make_announcements(test_positives, 1)[0]
+        for request in range(2):
+            alert = client.rank(announcement)
+            (tree,) = client.recent_traces(limit=1)
+            spans = {}
+
+            def collect(node):
+                spans[node["name"]] = node
+                for child in node["children"]:
+                    collect(child)
+
+            collect(tree)
+            forward = spans["nn.forward"]["attributes"]
+            assert forward["rows"] == len(alert.ranking.scores)
+            assert forward["histories"] == 1
+            assert ("sequence.encode" in spans) == (request == 0)
+
     def test_trace_recent_endpoint_serves_the_tree(self, observed,
                                                    test_positives):
         _app, _hub, _server, client = observed

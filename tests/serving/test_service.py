@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import RankRequest
+from repro.core import RankRequest, TargetCoinPredictor, make_model
+from repro.features import FeatureAssembler
 from repro.serving import Announcement, PredictionService, ServiceStats
 
 
@@ -15,6 +16,21 @@ def test_positives(tiny_collection):
     ]
     assert len(positives) >= 3
     return positives
+
+
+@pytest.fixture(scope="module", params=("gru", "lstm", "tcn"))
+def gemm_predictor(request, tiny_world, tiny_collection, tiny_predictor):
+    """A predictor whose sequence encoder runs BLAS matrix products.
+
+    Untrained weights are enough for a parity check; the scalers are
+    borrowed so no fitting pass runs.
+    """
+    model = make_model(request.param, tiny_predictor.model.config, seed=0)
+    return TargetCoinPredictor(
+        tiny_world, tiny_collection.dataset, model,
+        FeatureAssembler(tiny_world, tiny_collection.dataset),
+        scalers=(tiny_predictor._numeric_scaler, tiny_predictor._seq_scaler),
+    )
 
 
 def _announcements(positives, n):
@@ -46,6 +62,19 @@ class TestRankMany:
             )
             assert [s.coin_id for s in ranking.scores] == \
                 [s.coin_id for s in single.scores]
+
+    def test_lone_candidate_scores_like_micro_batch(self, gemm_predictor,
+                                                    test_positives):
+        """One request with one candidate is one row and one history; both
+        are padded, so it scores exactly as inside a micro-batch."""
+        for i, example in enumerate(test_positives):
+            lone = RankRequest(example.channel_id, 0, example.time,
+                               candidates=np.array([example.coin_id]))
+            other = test_positives[(i + 1) % len(test_positives)]
+            [solo] = gemm_predictor.rank_many([lone])
+            _, batched = gemm_predictor.rank_many(
+                [RankRequest(other.channel_id, 0, other.time), lone])
+            assert solo.scores == batched.scores
 
     def test_empty_request_list(self, tiny_predictor):
         assert tiny_predictor.rank_many([]) == []
