@@ -142,6 +142,51 @@ def _open_store(args, command: str):
         return None, _fail(command, str(exc))
 
 
+def _boot(args, command: str, *, train: bool = False):
+    """The start ``serve`` and ``gateway`` share, run once per process.
+
+    Resolves ``--load``, builds ``--source``, runs ``collect`` and loads
+    the predictor from the artifact — or, with ``train`` (``serve``
+    without ``--load``), trains it.  Returns ``((source, collection,
+    predictor, artifact_path), error_code)``; exactly one is ``None``.
+    Every failure is reported here, so ``gateway`` exits 2 before it
+    binds a socket.
+    """
+    from repro.core import TargetCoinPredictor, train_predictor
+    from repro.data import collect
+    from repro.registry import ArtifactError
+    from repro.sources import SourceDataError
+
+    artifact_path = None
+    if not train:
+        artifact_path, error = _resolve_artifact_path(
+            args.load, args.registry, command
+        )
+        if error is not None:
+            return None, error
+    source, error = _build_source(args, command)
+    if error is not None:
+        return None, error
+    try:
+        collection = collect(source)
+        if train:
+            predictor = train_predictor(
+                source, collection,
+                model=args.model if args.model is not None else "snn",
+                epochs=args.epochs if args.epochs is not None else 8,
+                seed=args.seed,
+            )
+        else:
+            predictor = TargetCoinPredictor.from_artifact(
+                artifact_path, source, collection.dataset
+            )
+    except ArtifactError as exc:
+        return None, _fail(command, f"cannot load {artifact_path}: {exc}")
+    except SourceDataError as exc:
+        return None, _fail(command, str(exc))
+    return (source, collection, predictor, artifact_path), None
+
+
 def _config(args) -> ReproConfig:
     builders = {
         "tiny": ReproConfig.tiny,
@@ -391,46 +436,19 @@ def cmd_serve(args) -> int:
         return _fail("serve", "--top-k must be >= 1")
     if args.gateway:
         return _serve_remote(args)
-    from repro.core import train_predictor
-    from repro.data import collect
-    from repro.registry import ArtifactError, load_predictor
-    from repro.serving import ConsoleAlertSink, JsonLinesAlertSink, replay_test_period
-
-    artifact_path = None
-    if args.load:
-        if args.model is not None or args.epochs is not None:
-            print("repro serve: --model/--epochs are ignored with --load "
-                  "(the artifact fixes the architecture and weights)",
-                  file=sys.stderr)
-        artifact_path, error = _resolve_artifact_path(
-            args.load, args.registry, "serve"
-        )
-        if error is not None:
-            return error
-
-    from repro.sources import SourceDataError
-
-    source, error = _build_source(args, "serve")
+    if args.load and (args.model is not None or args.epochs is not None):
+        print("repro serve: --model/--epochs are ignored with --load "
+              "(the artifact fixes the architecture and weights)",
+              file=sys.stderr)
+    boot, error = _boot(args, "serve", train=not args.load)
     if error is not None:
         return error
-    try:
-        collection = collect(source)
-        if artifact_path is not None:
-            try:
-                predictor = load_predictor(artifact_path, source,
-                                           collection.dataset)
-            except ArtifactError as exc:
-                return _fail("serve", f"cannot load {artifact_path}: {exc}")
-            print(f"serving from artifact {artifact_path} (no training)")
-        else:
-            predictor = train_predictor(
-                source, collection,
-                model=args.model if args.model is not None else "snn",
-                epochs=args.epochs if args.epochs is not None else 8,
-                seed=args.seed,
-            )
-    except SourceDataError as exc:
-        return _fail("serve", str(exc))
+    source, collection, predictor, artifact_path = boot
+    if artifact_path is not None:
+        print(f"serving from artifact {artifact_path} (no training)")
+
+    from repro.serving import ConsoleAlertSink, JsonLinesAlertSink, replay_test_period
+    from repro.sources import SourceDataError
 
     store, error = _open_store(args, "serve")
     if error is not None:
@@ -463,114 +481,16 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _run_gateway_pool(args, artifact_path, source) -> int:
-    """``repro gateway --workers N``: pre-fork pool + supervisor.
-
-    The parent binds the listening sockets, prepares everything forks
-    share copy-on-write (market source, collection, model descriptor)
-    and supervises; each forked worker builds its *own* service, store
-    connection and app (``_build`` runs post-fork — SQLite connections
-    must not cross a fork).
-    """
-    import tempfile
-
-    from repro.data import collect
-    from repro.gateway import GatewayApp, describe_model
-    from repro.gateway.pool import bind_pool_sockets, run_pool, worker_serve
-    from repro.registry import (
-        ArtifactError,
-        ModelRegistry,
-        parse_ref,
-        read_manifest,
-    )
-    from repro.serving import PredictionService
-    from repro.sources import SourceDataError
-    from repro.telemetry import TelemetryHub
-
-    try:
-        collection = collect(source)
-        manifest = read_manifest(artifact_path)
-    except (SourceDataError, ArtifactError) as exc:
-        return _fail("gateway", str(exc))
-
-    name = None
-    if "/" not in args.load and os.sep not in args.load:
-        name, _version = parse_ref(args.load)
-    descriptor = describe_model(
-        args.load, artifact_path, manifest,
-        name=name, version=artifact_path.name if name else None,
-    )
-
-    try:
-        sockets, port = bind_pool_sockets(args.host, args.port,
-                                          args.workers)
-    except OSError as exc:
-        return _fail("gateway",
-                     f"cannot bind {args.host}:{args.port}: {exc}")
-    metrics_dir = tempfile.mkdtemp(prefix="repro-gateway-metrics-")
-
-    def _build(worker_id: int):
-        store = None
-        if args.store:
-            from repro.store import (
-                SQLiteEventStore,
-                StoreError,
-                rehydrate_service,
-            )
-
-            try:
-                store = SQLiteEventStore(args.store)
-            except StoreError as exc:
-                raise SystemExit(_fail("gateway", str(exc))) from None
-        service_options = {
-            "bucket_hours": args.bucket_hours,
-            "cache_entries": 0 if args.no_cache else 512,
-        }
-        if store is not None:
-            service_options["store"] = store
-        service = PredictionService.from_artifact(
-            artifact_path, source, collection.dataset, **service_options,
-        )
-        if store is not None:
-            recovered = rehydrate_service(service, store)
-            # The store doubles as the pool's replication bus: every
-            # worker folds the others' observations in seq order, so
-            # histories (and rankings) match a single process.
-            service.enable_store_following()
-            if recovered["observations"] or recovered["alerts"]:
-                print(f"rehydrated from {args.store}: "
-                      f"{recovered['observations']} observations, "
-                      f"{recovered['alerts']} alerts, stats snapshot "
-                      f"{'restored' if recovered['stats_snapshot'] else 'absent'}",
-                      flush=True)
-        app = GatewayApp(
-            service, registry=ModelRegistry(args.registry),
-            model=dict(descriptor), max_batch=args.max_batch,
-            service_options=service_options,
-            telemetry=TelemetryHub(slow_ms=args.slow_ms),
-            batch_window_ms=args.batch_window_ms,
-        )
-        return app, store
-
-    def _child_main(worker_id, listen_socket):
-        return worker_serve(
-            worker_id, listen_socket, _build,
-            verbose=args.verbose, max_inflight=args.max_inflight,
-            deadline_ms=args.deadline_ms, snapshot_s=args.snapshot_s,
-            drain_s=args.drain_s, metrics_dir=metrics_dir,
-        )
-
-    print(f"gateway listening on http://{args.host}:{port} "
-          f"(model {args.load}, registry {args.registry}, "
-          f"{args.workers} workers)", flush=True)
-    if args.store:
-        print(f"event log: {args.store} "
-              f"(snapshot every {args.snapshot_s:g}s)", flush=True)
-    return run_pool(sockets, args.workers, _child_main,
-                    drain_s=args.drain_s)
-
-
 def cmd_gateway(args) -> int:
+    """``repro gateway``: boot once, bind, then serve through the worker
+    loop — in-process for ``--workers 1``, forked under a supervisor for
+    ``--workers N``.
+
+    The parent boots everything forks share copy-on-write (market source,
+    collection, the loaded predictor); each worker builds its *own*
+    store connection, service and app (``_build`` runs post-fork —
+    SQLite connections must not cross a fork).
+    """
     if args.max_batch < 1:
         return _fail("gateway", "--max-batch must be >= 1")
     if not 0 <= args.port <= 65535:
@@ -590,22 +510,18 @@ def cmd_gateway(args) -> int:
     if args.slow_ms < 0:
         return _fail("gateway", "--slow-ms must be >= 0")
 
-    artifact_path, error = _resolve_artifact_path(
-        args.load, args.registry, "gateway"
-    )
+    boot, error = _boot(args, "gateway")
     if error is not None:
         return error
-    source, error = _build_source(args, "gateway")
-    if error is not None:
-        return error
-    if args.workers > 1:
-        return _run_gateway_pool(args, artifact_path, source)
-    store, error = _open_store(args, "gateway")
-    if error is not None:
-        return error
+    _source, _collection, predictor, artifact_path = boot
 
-    from repro.data import collect
-    from repro.gateway import GatewayApp, describe_model, make_server
+    from repro.gateway import GatewayApp, describe_model
+    from repro.gateway.pool import (
+        bind_pool_sockets,
+        print_line,
+        run_pool,
+        worker_serve,
+    )
     from repro.registry import (
         ArtifactError,
         ModelRegistry,
@@ -613,36 +529,13 @@ def cmd_gateway(args) -> int:
         read_manifest,
     )
     from repro.serving import PredictionService
-    from repro.sources import SourceDataError
+    from repro.store import rehydrate_service
+    from repro.telemetry import TelemetryHub
 
-    service_options = {
-        "bucket_hours": args.bucket_hours,
-        "cache_entries": 0 if args.no_cache else 512,
-    }
-    if store is not None:
-        service_options["store"] = store
     try:
-        collection = collect(source)
-        try:
-            manifest = read_manifest(artifact_path)
-            service = PredictionService.from_artifact(
-                artifact_path, source, collection.dataset, **service_options,
-            )
-        except ArtifactError as exc:
-            return _fail("gateway", f"cannot load {artifact_path}: {exc}")
-    except SourceDataError as exc:
-        return _fail("gateway", str(exc))
-
-    if store is not None:
-        from repro.store import rehydrate_service
-
-        recovered = rehydrate_service(service, store)
-        if recovered["observations"] or recovered["alerts"]:
-            print(f"rehydrated from {args.store}: "
-                  f"{recovered['observations']} observations, "
-                  f"{recovered['alerts']} alerts, stats snapshot "
-                  f"{'restored' if recovered['stats_snapshot'] else 'absent'}")
-
+        manifest = read_manifest(artifact_path)
+    except ArtifactError as exc:
+        return _fail("gateway", f"cannot load {artifact_path}: {exc}")
     # A bare/registry ref keeps its name; a path ref records only the path.
     name = None
     if "/" not in args.load and os.sep not in args.load:
@@ -651,73 +544,78 @@ def cmd_gateway(args) -> int:
         args.load, artifact_path, manifest,
         name=name, version=artifact_path.name if name else None,
     )
-    from repro.telemetry import TelemetryHub
+    # Opened here only to fail before binding; every worker opens its
+    # own connection after the fork.
+    store, error = _open_store(args, "gateway")
+    if error is not None:
+        return error
+    if store is not None:
+        store.close()
 
-    app = GatewayApp(
-        service, registry=ModelRegistry(args.registry), model=descriptor,
-        max_batch=args.max_batch, service_options=service_options,
-        telemetry=TelemetryHub(slow_ms=args.slow_ms),
-        batch_window_ms=args.batch_window_ms,
-    )
     try:
-        server = make_server(app, args.host, args.port, verbose=args.verbose,
-                             max_inflight=args.max_inflight,
-                             deadline_ms=args.deadline_ms)
+        sockets, port = bind_pool_sockets(args.host, args.port,
+                                          args.workers)
     except OSError as exc:
         return _fail("gateway",
                      f"cannot bind {args.host}:{args.port}: {exc}")
-    host, port = server.server_address[:2]
+
+    def _build(worker_id: int):
+        store, error = _open_store(args, "gateway")
+        if error is not None:
+            raise SystemExit(error)
+        service_options = {
+            "bucket_hours": args.bucket_hours,
+            "cache_entries": 0 if args.no_cache else 512,
+        }
+        if store is not None:
+            service_options["store"] = store
+        service = PredictionService(predictor, **service_options)
+        if store is not None:
+            recovered = rehydrate_service(service, store)
+            if recovered["observations"] or recovered["alerts"]:
+                print_line(
+                    f"rehydrated from {args.store}: "
+                    f"{recovered['observations']} observations, "
+                    f"{recovered['alerts']} alerts, stats snapshot "
+                    f"{'restored' if recovered['stats_snapshot'] else 'absent'}"
+                )
+        app = GatewayApp(
+            service, registry=ModelRegistry(args.registry), model=descriptor,
+            max_batch=args.max_batch, service_options=service_options,
+            telemetry=TelemetryHub(slow_ms=args.slow_ms),
+            batch_window_ms=args.batch_window_ms,
+        )
+        return app, store
+
+    def _serve(worker_id, listen_socket, metrics_dir=None) -> int:
+        return worker_serve(
+            worker_id, listen_socket, _build,
+            verbose=args.verbose, max_inflight=args.max_inflight,
+            deadline_ms=args.deadline_ms, snapshot_s=args.snapshot_s,
+            drain_s=args.drain_s, metrics_dir=metrics_dir,
+        )
+
+    host = sockets[0].getsockname()[0]
+    pool = f", {args.workers} workers" if args.workers > 1 else ""
     print(f"gateway listening on http://{host}:{port} "
-          f"(model {args.load}, registry {args.registry})")
+          f"(model {args.load}, registry {args.registry}{pool})", flush=True)
     print("endpoints: POST /v1/rank  POST /v1/rank/batch  POST /v1/observe")
     print("           GET /v1/models  POST /v1/models/reload  "
           "GET /v1/healthz  GET /v1/stats")
-    print("           GET /v1/metrics  GET /v1/trace/recent")
-    if store is not None:
-        print(f"event log: {args.store} (snapshot every {args.snapshot_s:g}s)")
+    print("           GET /v1/metrics  GET /v1/trace/recent", flush=True)
+    if args.store:
+        print(f"event log: {args.store} "
+              f"(snapshot every {args.snapshot_s:g}s)", flush=True)
+    if args.workers == 1:
+        return _serve(0, sockets[0])
+    import functools
+    import tempfile
 
-    import signal
-    import threading
-
-    def _on_sigterm(signum, frame):
-        # serve_forever() runs in this (main) thread, so shutdown() must
-        # happen from another one — calling it here would deadlock.
-        print("gateway: SIGTERM received, draining", flush=True)
-        server.begin_drain()
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous_handler = signal.signal(signal.SIGTERM, _on_sigterm)
-
-    stop_snapshots = threading.Event()
-    if store is not None:
-        def _snapshot_loop():
-            while not stop_snapshots.wait(args.snapshot_s):
-                app.snapshot_stats()
-
-        threading.Thread(target=_snapshot_loop, name="repro-store-snapshot",
-                         daemon=True).start()
-
-    try:
-        server.serve_forever()
-        # Reached via SIGTERM-triggered shutdown(): finish in-flight work.
-        if not server.wait_drained(args.drain_s):
-            print("gateway: drain timed out with requests still in flight",
-                  file=sys.stderr)
-    except KeyboardInterrupt:
-        print("gateway: shutting down")
-        server.begin_drain()
-        server.wait_drained(args.drain_s)
-    finally:
-        stop_snapshots.set()
-        signal.signal(signal.SIGTERM, previous_handler)
-        if store is not None:
-            app.snapshot_stats()
-            store.flush()
-            store.close()
-        server.server_close()
-    print("gateway: drained, event log flushed" if store is not None
-          else "gateway: stopped")
-    return 0
+    with tempfile.TemporaryDirectory(
+            prefix="repro-gateway-metrics-") as metrics_dir:
+        return run_pool(sockets, args.workers,
+                        functools.partial(_serve, metrics_dir=metrics_dir),
+                        drain_s=args.drain_s)
 
 
 def cmd_history(args) -> int:

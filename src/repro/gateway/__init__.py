@@ -32,10 +32,12 @@ Layers
               --gateway``).
 ``microbatch`` — :class:`MicroBatcher`: coalesce concurrent ``/v1/rank``
               requests across connections into one forward pass (PR 9).
-``pool``    — :func:`bind_pool_sockets` / :func:`run_pool` /
-              :func:`worker_serve`: the ``--workers N`` pre-fork worker
-              pool with crash supervision, SIGTERM fan-out and pool-level
-              metrics aggregation (PR 9).
+``pool``    — :func:`worker_serve`: the one worker loop every gateway
+              serves through, in-process for ``--workers 1``; with
+              :func:`bind_pool_sockets` / :func:`run_pool`, the
+              ``--workers N`` pre-fork worker pool with crash
+              supervision, SIGTERM fan-out and pool-level metrics
+              aggregation.
 """
 
 from repro.gateway.app import DEFAULT_MAX_BATCH, GatewayApp, describe_model

@@ -12,11 +12,11 @@ Hot-swap contract (``/v1/models/reload``)
 The replacement service is built *outside* the scoring lock (artifact
 load + compiled-plan verification take milliseconds to seconds; requests
 keep scoring on the old model meanwhile).  The swap itself happens under
-the scoring lock: the streamed history cache and the live
-:class:`ServiceStats` are carried across, and the service pointer is
-replaced in one assignment.  A request that already entered the scoring
-section finishes on the model it started with — nothing is dropped,
-nothing scores half-old-half-new.
+the scoring lock: the streamed state (history cache, dedup window, fold
+cursor) and the live :class:`ServiceStats` are carried across, and the
+service pointer is replaced in one assignment.  A request that already
+entered the scoring section finishes on the model it started with —
+nothing is dropped, nothing scores half-old-half-new.
 """
 
 from __future__ import annotations
@@ -395,12 +395,10 @@ class GatewayApp:
             descriptor = describe_model(request.ref, path, manifest,
                                         name=name, version=path.name)
             with self._score_lock:
-                # Carry the streamed history across so the new model sees
-                # exactly the pump sequences the old one accumulated, and
-                # the dedup window so a retry straddling the swap still
-                # deduplicates.
-                replacement.restore_history(old_service.history_snapshot())
-                replacement.restore_seen(old_service.seen_snapshot())
+                # The new model continues the old one's stream: the pump
+                # sequences it accumulated, its dedup window and its fold
+                # cursor on the shared store.
+                replacement.take_over(old_service)
                 previous, self.model = self.model, descriptor
                 self._service = replacement
             self.reloads += 1

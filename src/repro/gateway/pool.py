@@ -1,13 +1,14 @@
-"""Multi-process gateway scale-out: pre-fork worker pool + supervisor.
+"""The gateway's serving lifecycle: one worker loop, run alone or pooled.
 
-``repro gateway --workers N`` serves through N shared-nothing worker
-processes instead of one ThreadingHTTPServer:
+``repro gateway --workers 1`` runs :func:`worker_serve` in-process;
+``--workers N`` forks it N times under a supervisor, giving N
+shared-nothing worker processes:
 
 * :func:`bind_pool_sockets` binds the listening address **before** the
   fork — one ``SO_REUSEPORT`` socket per worker where the platform
   supports it (the kernel then load-balances accepts across workers'
   separate accept queues), falling back to a single parent-bound socket
-  every forked child accepts on;
+  every forked child accepts on.  A lone worker gets one plain socket;
 * :func:`run_pool` is the supervisor: it forks the workers, reaps and
   respawns crashes (with a fast-crash give-up so a boot-time bug cannot
   fork-bomb), fans ``SIGTERM``/``SIGINT`` out to the children and waits
@@ -15,13 +16,14 @@ processes instead of one ThreadingHTTPServer:
   flush its final store snapshot and exit;
 * :func:`worker_serve` is one worker's whole life: build the app (the
   caller's ``build`` callback runs *post-fork*, so each worker owns its
-  SQLite connection and store cursor), adopt the inherited socket, serve,
-  drain on SIGTERM, snapshot and flush.
+  SQLite connection and store cursor), adopt the bound socket, serve,
+  snapshot stats every ``snapshot_s``, drain on SIGTERM, snapshot and
+  flush.
 
 Workers are shared-nothing except for two files: the ``--store`` event
 log (WAL SQLite — every worker appends its own observations and folds
-the others' through the store-following cursor, so histories and
-therefore rankings stay bit-identical to a single process) and a metrics
+everyone's in store sequence order, so histories and therefore rankings
+stay bit-identical to a single process) and a metrics
 spool directory each worker dumps its rendered exposition into, letting
 any worker answer a **pool-level** ``/v1/metrics`` scrape by merging the
 peers' latest dumps (:func:`repro.telemetry.merge_expositions`).
@@ -56,6 +58,19 @@ _REAP_POLL_S = 0.1
 _KILL_GRACE_S = 5.0
 
 
+def print_line(line: str, *, stderr: bool = False) -> None:
+    """Print ``line`` in one write.
+
+    Pool processes share one stdout, and ``print`` writes the text and
+    its newline separately: on an unbuffered stream (``python -u``) two
+    workers booting together could interleave mid-line.  A single
+    write of a short line to a pipe or file lands whole.
+    """
+    stream = sys.stderr if stderr else sys.stdout
+    stream.write(line + "\n")
+    stream.flush()
+
+
 def bind_pool_sockets(host: str, port: int,
                       workers: int) -> tuple[list[socket.socket], int]:
     """Bind the pool's listening sockets before forking.
@@ -65,11 +80,14 @@ def bind_pool_sockets(host: str, port: int,
     accept queues the kernel hashes connections across.  Without it, one
     socket is returned and every worker accepts on the shared file
     description.  ``port=0`` picks a free port on the first bind; the
-    siblings then bind the concrete port it landed on.
+    siblings then bind the concrete port it landed on.  A single worker
+    binds without ``SO_REUSEPORT``, so a port another process holds is
+    refused instead of shared.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    reuseport = getattr(socket, "SO_REUSEPORT", None)
+    reuseport = getattr(socket, "SO_REUSEPORT", None) if workers > 1 \
+        else None
     sockets: list[socket.socket] = []
     try:
         for _index in range(workers if reuseport is not None else 1):
@@ -143,9 +161,9 @@ def worker_serve(worker_id: int, listen_socket: socket.socket,
                  deadline_ms: float | None = None,
                  snapshot_s: float = 30.0, drain_s: float = 10.0,
                  metrics_dir: str | Path | None = None) -> int:
-    """One worker process, boot to drained exit.
+    """One worker, boot to drained exit (in-process or forked).
 
-    ``build(worker_id)`` runs here — after the fork — and returns
+    ``build(worker_id)`` runs here — after any fork — and returns
     ``(app, store)``; the store may be ``None``.  Returns the process
     exit code: 0 after a clean drain, 1 when in-flight requests were
     still running at the drain deadline.
@@ -171,42 +189,50 @@ def worker_serve(worker_id: int, listen_socket: socket.socket,
         return app.telemetry.render_metrics(app.service.stats.registry)
 
     def _on_term(signum, frame):
-        print(f"gateway[w{worker_id}]: SIGTERM received, draining",
-              flush=True)
+        print_line(f"gateway[w{worker_id}]: SIGTERM received, draining")
         server.begin_drain()
         threading.Thread(target=server.shutdown, daemon=True).start()
 
-    signal.signal(signal.SIGTERM, _on_term)
-    signal.signal(signal.SIGINT, _on_term)
+    previous_term = signal.signal(signal.SIGTERM, _on_term)
+    previous_int = signal.signal(signal.SIGINT, _on_term)
 
     stop = threading.Event()
 
-    def _background_loop():
-        while not stop.wait(min(snapshot_s, METRICS_PUBLISH_S)
-                            if store is not None else METRICS_PUBLISH_S):
-            if store is not None:
-                app.snapshot_stats()
-            if exchange is not None:
-                exchange.publish(_render_own())
+    def _every(period: float, action: Callable[[], object]) -> None:
+        while not stop.wait(period):
+            action()
 
-    threading.Thread(target=_background_loop,
-                     name=f"repro-worker-{worker_id}-background",
-                     daemon=True).start()
+    jobs = []
+    if store is not None:
+        jobs.append((snapshot_s, app.snapshot_stats))
+    if exchange is not None:
+        jobs.append((METRICS_PUBLISH_S,
+                     lambda: exchange.publish(_render_own())))
+    periodic = [threading.Thread(target=_every, args=job, daemon=True,
+                                 name=f"repro-worker-{worker_id}-periodic")
+                for job in jobs]
+    for thread in periodic:
+        thread.start()
 
-    print(f"gateway[w{worker_id}]: serving (pid {os.getpid()})",
-          flush=True)
+    print_line(f"gateway[w{worker_id}]: serving (pid {os.getpid()})")
     drained = True
     try:
         server.serve_forever()
         drained = server.wait_drained(drain_s)
         if not drained:
-            print(f"gateway[w{worker_id}]: drain timed out with requests "
-                  "still in flight", file=sys.stderr, flush=True)
+            print_line(f"gateway[w{worker_id}]: drain timed out with "
+                       "requests still in flight", stderr=True)
     except KeyboardInterrupt:
         server.begin_drain()
         drained = server.wait_drained(drain_s)
     finally:
         stop.set()
+        for thread in periodic:
+            # A periodic snapshot in flight must land before the final
+            # one and the store's close.
+            thread.join()
+        signal.signal(signal.SIGTERM, previous_term)
+        signal.signal(signal.SIGINT, previous_int)
         if store is not None:
             app.snapshot_stats()
             store.flush()
@@ -214,9 +240,8 @@ def worker_serve(worker_id: int, listen_socket: socket.socket,
         if exchange is not None:
             exchange.publish(_render_own())
         server.server_close()
-    print(f"gateway[w{worker_id}]: drained, event log flushed"
-          if store is not None else f"gateway[w{worker_id}]: stopped",
-          flush=True)
+    print_line(f"gateway[w{worker_id}]: drained, event log flushed"
+               if store is not None else f"gateway[w{worker_id}]: stopped")
     return 0 if drained else 1
 
 
@@ -289,8 +314,8 @@ def run_pool(sockets: Sequence[socket.socket], workers: int,
     fast_crashes: dict[int, int] = {}
     for slot in range(workers):
         spawn_times[slot] = _spawn(slot)
-    print(f"gateway pool: supervising {workers} workers "
-          f"(pids {sorted(children)})", flush=True)
+    print_line(f"gateway pool: supervising {workers} workers "
+               f"(pids {sorted(children)})")
 
     exit_code = 0
     kill_deadline: float | None = None
@@ -323,8 +348,8 @@ def run_pool(sockets: Sequence[socket.socket], workers: int,
             if shutting_down.is_set():
                 if code != 0:
                     exit_code = exit_code or 1
-                print(f"gateway pool: worker {slot} (pid {pid}) exited "
-                      f"with {code}", flush=True)
+                print_line(f"gateway pool: worker {slot} (pid {pid}) "
+                           f"exited with {code}")
                 continue
             lifetime = time.monotonic() - spawn_times.get(slot, 0.0)
             if lifetime < _FAST_CRASH_S:
@@ -332,14 +357,14 @@ def run_pool(sockets: Sequence[socket.socket], workers: int,
             else:
                 fast_crashes[slot] = 0
             if fast_crashes.get(slot, 0) >= MAX_FAST_CRASHES:
-                print(f"gateway pool: worker {slot} crashed "
-                      f"{MAX_FAST_CRASHES} times within {_FAST_CRASH_S}s "
-                      "of spawn; giving up on this slot",
-                      file=sys.stderr, flush=True)
+                print_line(f"gateway pool: worker {slot} crashed "
+                           f"{MAX_FAST_CRASHES} times within "
+                           f"{_FAST_CRASH_S}s of spawn; giving up on this "
+                           "slot", stderr=True)
                 exit_code = 1
                 continue
-            print(f"gateway pool: worker {slot} (pid {pid}) exited with "
-                  f"{code}; respawning", flush=True)
+            print_line(f"gateway pool: worker {slot} (pid {pid}) exited "
+                       f"with {code}; respawning")
             spawn_times[slot] = _spawn(slot)
     finally:
         signal.signal(signal.SIGTERM, previous_term)
@@ -349,7 +374,7 @@ def run_pool(sockets: Sequence[socket.socket], workers: int,
                 sock.close()
             except OSError:
                 pass
-    print("gateway pool: all workers exited", flush=True)
+    print_line("gateway pool: all workers exited")
     return exit_code
 
 
@@ -358,6 +383,7 @@ __all__ = [
     "METRICS_PUBLISH_S",
     "PoolMetrics",
     "bind_pool_sockets",
+    "print_line",
     "run_pool",
     "worker_serve",
 ]

@@ -33,7 +33,6 @@ from repro.nn.conv import TCN, CausalConv1d, TemporalBlock
 from repro.nn.attention import PositionalAttention
 from repro.nn.loss import bce_with_logits, mae_loss, mse_loss
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.serialize import archive_summary, load_module, save_module
 from repro.nn.compile import (
     CompiledInference,
     CompileError,
@@ -54,7 +53,6 @@ __all__ = [
     "PositionalAttention",
     "bce_with_logits", "mae_loss", "mse_loss",
     "SGD", "Adam", "Optimizer",
-    "save_module", "load_module", "archive_summary",
     "CompiledInference", "CompileError", "compile_inference",
     "get_compiled", "run_compiled", "prewarm", "synthetic_batch",
 ]

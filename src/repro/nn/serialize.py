@@ -1,28 +1,20 @@
-"""Model persistence: save/load module parameters as ``.npz`` archives.
+"""Model persistence: parameter ``state_dict`` archives (``.npz``).
 
-The archive holds one array per dotted parameter name plus a manifest; the
-loading side validates names and shapes, so version drift fails loudly.
-
-.. deprecated::
-    A bare-weights archive is **not servable**: it carries no fitted
-    scalers, no channel vocabulary and no architecture config, so nothing
-    built from it alone can score an announcement.  Standalone use of
-    :func:`save_module` / :func:`load_module` is deprecated in favour of
-    the full predictor bundles in :mod:`repro.registry` (``repro train
-    --save`` writes one).  These functions remain as the weight-transport
-    layer *inside* artifact bundles, and :func:`load_module` still reads
-    legacy bare archives — with a :class:`DeprecationWarning`.
+The archive holds one array per dotted parameter name plus a manifest;
+the loading side (``Module.load_state_dict``) validates names and shapes,
+so version drift fails loudly.  A bare-weights archive is **not
+servable** — it carries no fitted scalers, no channel vocabulary and no
+architecture config — so these functions are the weight-transport layer
+*inside* the full predictor bundles of :mod:`repro.registry` (``repro
+train --save`` writes one).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
-
-from repro.nn.module import Module
 
 _MANIFEST_KEY = "__manifest__"
 
@@ -32,8 +24,7 @@ def save_state_dict(state: dict[str, np.ndarray], path: str | Path, *,
     """Write a parameter ``state_dict`` to ``path`` (npz) with a manifest.
 
     ``container`` marks the archive as embedded in a larger bundle (e.g. a
-    :mod:`repro.registry` artifact); unmarked archives are treated as
-    legacy bare weights by :func:`load_module`.
+    :mod:`repro.registry` artifact).
     """
     path = Path(path)
     manifest = {
@@ -51,58 +42,15 @@ def save_state_dict(state: dict[str, np.ndarray], path: str | Path, *,
     np.savez_compressed(path, **arrays)
 
 
-def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Shared npz reader: ``(manifest, state)`` of a saved archive."""
-    with np.load(path) as archive:
-        if _MANIFEST_KEY not in archive:
-            raise ValueError(f"{path} is not a repro model archive")
-        manifest = json.loads(bytes(archive[_MANIFEST_KEY]).decode("utf-8"))
-        state = {name: archive[name] for name in manifest["names"]}
-    return manifest, state
-
-
 def read_state_dict(path: str | Path) -> dict[str, np.ndarray]:
     """Read back the raw parameter arrays of a saved archive.
 
-    Low-level counterpart of :func:`load_module` that returns the state
-    without needing a constructed module (the artifact layer validates it
-    against a rebuilt architecture via ``Module.load_state_dict``).
+    Returns the state without needing a constructed module (the artifact
+    layer validates it against a rebuilt architecture via
+    ``Module.load_state_dict``).
     """
-    return _read_archive(Path(path))[1]
-
-
-def save_module(module: Module, path: str | Path, *,
-                container: str | None = None) -> None:
-    """Write all parameters of ``module`` to ``path`` (npz)."""
-    save_state_dict(module.state_dict(), path, container=container)
-
-
-def load_module(module: Module, path: str | Path) -> Module:
-    """Load parameters saved by :func:`save_module` into ``module``.
-
-    The module must already be constructed with matching architecture; name
-    or shape mismatches raise with a diagnostic.  Loading a legacy bare
-    archive (one written outside an artifact bundle) emits a
-    :class:`DeprecationWarning` — such files cannot boot a serving stack.
-    """
-    path = Path(path)
-    manifest, state = _read_archive(path)
-    if "container" not in manifest:
-        warnings.warn(
-            f"{path} is a bare-weights archive: it restores parameters only "
-            "and cannot be served (no scalers, vocabulary or architecture "
-            "config). Save a full artifact instead — `repro train --save "
-            "<dir>` or repro.registry.save_artifact().",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    module.load_state_dict(state)
-    return module
-
-
-def archive_summary(path: str | Path) -> dict:
-    """Read the manifest of a saved model without loading parameters."""
     with np.load(Path(path)) as archive:
         if _MANIFEST_KEY not in archive:
             raise ValueError(f"{path} is not a repro model archive")
-        return json.loads(bytes(archive[_MANIFEST_KEY]).decode("utf-8"))
+        manifest = json.loads(bytes(archive[_MANIFEST_KEY]).decode("utf-8"))
+        return {name: archive[name] for name in manifest["names"]}

@@ -28,7 +28,6 @@ from repro.registry.artifact import (
     check_save_target,
     is_artifact_dir,
     load_artifact,
-    load_predictor,
     read_manifest,
     save_artifact,
     verify_files,
@@ -47,7 +46,7 @@ from repro.registry.registry import (
 
 __all__ = [
     "SCHEMA_VERSION", "ARTIFACT_KIND", "MANIFEST_NAME",
-    "PredictorArtifact", "save_artifact", "load_artifact", "load_predictor",
+    "PredictorArtifact", "save_artifact", "load_artifact",
     "read_manifest", "verify_files", "is_artifact_dir", "check_save_target",
     "ArtifactError", "ArtifactSchemaError", "ArtifactIntegrityError",
     "ModelRegistry", "RegistryEntry", "RegistryError", "parse_ref",

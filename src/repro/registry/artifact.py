@@ -15,7 +15,7 @@ working predictor::
     <artifact>/
         manifest.json   # schema version, model name + config, vocab
                         # metadata, training provenance, file checksums
-        weights.npz     # ranker parameters (via nn.serialize.save_module)
+        weights.npz     # ranker parameters (nn.serialize.save_state_dict)
         state.npz       # fitted scaler statistics (exact float64)
 
 Loading re-verifies integrity (sha256 per file) and schema compatibility
@@ -674,13 +674,3 @@ def save_artifact(predictor: "TargetCoinPredictor", path: str | Path,
 def load_artifact(path: str | Path) -> PredictorArtifact:
     """Load (and verify) an artifact bundle from disk."""
     return PredictorArtifact.load(path)
-
-
-def load_predictor(path: str | Path, source,
-                   dataset: "TargetCoinDataset") -> "TargetCoinPredictor":
-    """One-call boot: artifact directory → servable predictor.
-
-    ``source`` is any :class:`repro.sources.DataSource` backend (or a
-    bare synthetic world).
-    """
-    return PredictorArtifact.load(path).to_predictor(source, dataset)

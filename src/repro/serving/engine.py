@@ -28,7 +28,6 @@ from repro.telemetry import span
 
 # Two stream timestamps closer than this are "concurrent" for batching.
 TIME_EPSILON = 1e-9
-_TIME_EPSILON = TIME_EPSILON    # backward-compatible alias
 
 
 def drive_stream(stream: MessageStream, *, detector: OnlineDetector,

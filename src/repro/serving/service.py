@@ -138,10 +138,9 @@ class PredictionService:
         # Observation event ids already folded (value unused) — the fast
         # path of retry/replay dedup; the durable store is the slow path.
         self._seen_events: "OrderedDict[str, None]" = OrderedDict()
-        # Store-following mode (worker pools): when enabled, every fold
-        # goes through catch_up() in store sequence order, so N workers
-        # sharing one event log converge on bit-identical histories.
-        self._follow_store = False
+        # Seq of the last store row folded: every fold goes through
+        # catch_up() in store sequence order, so N services sharing one
+        # event log converge on bit-identical histories.
         self._store_cursor = 0
         self._history: dict[int, list[PnDSample]] = {}
         for channel_id, samples in predictor.dataset.history.items():
@@ -210,6 +209,9 @@ class PredictionService:
         Without one, a fresh unique id is minted and the call always
         folds — the pre-existing semantics of repeated ``observe``.
 
+        The observation is appended to the store and folded through
+        :meth:`catch_up`, with whatever other writers appended before it.
+
         Returns ``True`` when the history actually grew.
         """
         if announcement.coin_id < 0:
@@ -218,85 +220,37 @@ class PredictionService:
             event_id = f"obs:{uuid.uuid4().hex}"
         elif event_id in self._seen_events:
             return False
-        if self._follow_store:
-            # Append, then fold through the store's global sequence: the
-            # fold order every pooled worker sees is the seq order, so
-            # histories (and therefore sequence features) converge.
-            fresh = self.store.append_observation(announcement, event_id)
-            if not fresh:
-                self._remember_event(event_id)
-            self.catch_up()
-            return fresh
-        if not self.store.append_observation(announcement, event_id):
+        fresh = self.store.append_observation(announcement, event_id)
+        # Fold first: a duplicate id may sit on a peer's row this service
+        # has not folded yet, and a remembered id is never folded.
+        self.catch_up()
+        if not fresh:
             self._remember_event(event_id)
-            return False
-        self._remember_event(event_id)
-        self._history.setdefault(announcement.channel_id, []).append(
-            announcement.sample()
-        )
-        return True
-
-    def adopt_observation(self, announcement: Announcement,
-                          event_id: str) -> None:
-        """Fold an observation already present in the durable store.
-
-        Rehydration replays the store's observation log through this
-        method: it updates the history cache and the dedup window but
-        never writes back to the store (``INSERT OR IGNORE`` would
-        reject every row it is replaying).
-        """
-        if event_id in self._seen_events:
-            return
-        self._remember_event(event_id)
-        if announcement.coin_id < 0:
-            return
-        self._history.setdefault(announcement.channel_id, []).append(
-            announcement.sample()
-        )
-
-    def enable_store_following(self, cursor: int | None = None) -> None:
-        """Treat the attached store as a replication bus (worker pools).
-
-        From here on the service folds observations exclusively through
-        :meth:`catch_up`, in store sequence order — including its own
-        (its appends get a seq like everyone else's).  ``cursor`` is the
-        seq already covered by the in-memory history (rehydration passes
-        the last replayed seq); ``None`` means "everything in the store
-        right now is already folded".
-        """
-        self._store_cursor = (self.store.last_observation_seq()
-                              if cursor is None else int(cursor))
-        self._follow_store = True
+        return fresh
 
     def catch_up(self) -> int:
         """Fold observations appended since the cursor (any writer).
 
-        Idempotent per event id, ordered by store seq; returns how many
-        rows were folded.  A no-op outside store-following mode.
+        The one fold path: idempotent per event id, ordered by store seq.
+        A fresh service starts at seq 0, so its first catch-up replays
+        the whole log (rehydration).  Returns how many rows were read.
         """
-        if not self._follow_store:
-            return 0
-        folded = 0
-        for seq, event_id, announcement in \
-                self.store.observations_since(self._store_cursor):
-            self.adopt_observation(announcement, event_id)
+        rows = self.store.observations_since(self._store_cursor)
+        for seq, event_id, announcement in rows:
             self._store_cursor = seq
-            folded += 1
-        return folded
+            if event_id in self._seen_events:
+                continue
+            self._remember_event(event_id)
+            if announcement.coin_id >= 0:
+                self._history.setdefault(announcement.channel_id, []).append(
+                    announcement.sample()
+                )
+        return len(rows)
 
     def _remember_event(self, event_id: str) -> None:
         self._seen_events[event_id] = None
         while len(self._seen_events) > SEEN_EVENTS_CAPACITY:
             self._seen_events.popitem(last=False)
-
-    def seen_snapshot(self) -> list[str]:
-        """The dedup window's event ids, oldest first (for hot-swaps)."""
-        return list(self._seen_events)
-
-    def restore_seen(self, event_ids: list[str]) -> None:
-        """Replace the dedup window with a :meth:`seen_snapshot`."""
-        self._seen_events = OrderedDict((event_id, None)
-                                        for event_id in event_ids)
 
     def history_snapshot(self) -> dict[int, list[PnDSample]]:
         """Copy of the full per-channel history cache (for hot-swaps)."""
@@ -305,14 +259,24 @@ class PredictionService:
 
     def restore_history(self,
                         snapshot: dict[int, list[PnDSample]]) -> None:
-        """Replace the history cache with a :meth:`history_snapshot`.
-
-        The gateway's ``/v1/models/reload`` builds the replacement service
-        off-thread and then carries the serving history across, so a
-        hot-swap loses none of the announcements streamed since boot.
-        """
+        """Replace the history cache with a :meth:`history_snapshot`."""
         self._history = {channel_id: list(samples)
                          for channel_id, samples in snapshot.items()}
+
+    def take_over(self, previous: "PredictionService") -> None:
+        """Continue ``previous``'s stream: its history, dedup window and
+        fold cursor.
+
+        The gateway's ``/v1/models/reload`` builds the replacement service
+        off-thread, on the same store, and calls this under the scoring
+        lock, so a hot-swap loses none of the announcements streamed since
+        boot, still deduplicates a retry straddling the swap, and keeps
+        folding other writers' observations from where ``previous`` left
+        off.
+        """
+        self.restore_history(previous.history_snapshot())
+        self._seen_events = OrderedDict(previous._seen_events)
+        self._store_cursor = previous._store_cursor
 
     def _history_before(self, channel_id: int, time: float) -> list[PnDSample]:
         length = self.predictor.assembler.sequence_length
@@ -337,11 +301,10 @@ class PredictionService:
         """
         if not announcements:
             return []
-        if self._follow_store:
-            # Fold whatever peer workers observed since our last look so
-            # this batch scores against the same global history a single
-            # process would have.
-            self.catch_up()
+        # Fold whatever other writers (peer workers) observed since our
+        # last look, so this batch scores against the same global history
+        # a single process would have.
+        self.catch_up()
         for announcement in announcements:
             # Logged before scoring: a crash mid-batch still leaves a
             # durable record of what was asked.

@@ -65,13 +65,10 @@ class EventStore:
     def observations_since(
             self, seq: int) -> list[tuple[int, str, "Announcement"]]:
         """``(seq, event_id, announcement)`` rows with ``seq > seq``, in
-        append order.  The cursor-style read that lets N pooled workers
-        treat one store as a replication bus: each worker folds the
-        others' observations from where it last left off."""
-        raise NotImplementedError
-
-    def last_observation_seq(self) -> int:
-        """Sequence number of the newest observation (0 when empty)."""
+        append order.  The cursor-style read every service folds its
+        history through: a service folds its own observations and any
+        other writer's (N pooled workers on one store) from where it
+        last left off, so every reader sees one order."""
         raise NotImplementedError
 
     def alerts(self, *, channel_id: int | None = None,
@@ -107,11 +104,19 @@ class EventStore:
 
 
 class NullEventStore(EventStore):
-    """Accepts everything, remembers nothing; queries answer empty.
+    """Keeps nothing durable; queries answer empty.
 
     ``append_observation`` always reports "fresh" so in-memory dedup
     (which the serving layer performs regardless) stays the only gate.
+    Observations still get in-memory sequence numbers, so a service
+    without a durable store folds through the same seq-ordered
+    :meth:`observations_since` as one with.  A row is held only until
+    the store's one reader has read it, so memory stays constant.
     """
+
+    def __init__(self) -> None:
+        self._seq = 0
+        self._unread: list[tuple[int, str, "Announcement"]] = []
 
     def append_announcement(self, announcement) -> None:
         pass
@@ -120,6 +125,8 @@ class NullEventStore(EventStore):
         pass
 
     def append_observation(self, announcement, event_id: str) -> bool:
+        self._seq += 1
+        self._unread.append((self._seq, event_id, announcement))
         return True
 
     def append_stats(self, summary: dict) -> None:
@@ -129,10 +136,8 @@ class NullEventStore(EventStore):
         return []
 
     def observations_since(self, seq: int) -> list:
-        return []
-
-    def last_observation_seq(self) -> int:
-        return 0
+        rows, self._unread = self._unread, []
+        return rows
 
     def alerts(self, **kwargs) -> list:
         return []

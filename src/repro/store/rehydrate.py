@@ -3,13 +3,12 @@
 A gateway booted with ``--store`` on a file that already holds history
 replays it before taking traffic:
 
-1. every recorded **observation** is folded back into the fresh
-   :class:`~repro.serving.PredictionService` in append order via
-   :meth:`adopt_observation` — so the per-channel history cache (and
-   therefore every future ranking) is **bit-identical** to the moment
-   the previous process died: the model weights come from the artifact,
-   the histories from the log, and the features are deterministic
-   functions of both;
+1. the fresh :class:`~repro.serving.PredictionService` catches up from
+   seq 0 — the same seq-ordered fold every later observation goes
+   through — so the per-channel history cache (and therefore every
+   future ranking) is **bit-identical** to the moment the previous
+   process died: the model weights come from the artifact, the histories
+   from the log, and the features are deterministic functions of both;
 2. service stats restore from the latest periodic **snapshot**, then the
    counters the store can reconstruct *exactly* are overridden with the
    durable truth: ``alerts`` = stored alert rows, ``scored_rows`` = sum
@@ -17,9 +16,7 @@ replays it before taking traffic:
    announcements, …) keep the snapshot value — they count events the
    gateway path never increments, so the snapshot is the best record.
 
-The replay touches only the service; it never writes to the store
-(``adopt_observation`` exists precisely so the idempotent append path
-is not re-entered during its own replay).
+The replay only reads the store; it never writes to it.
 """
 
 from __future__ import annotations
@@ -30,16 +27,11 @@ from repro.store.base import EventStore
 def rehydrate_service(service, store: EventStore) -> dict:
     """Fold a store's history into a freshly built service.
 
-    Returns a small summary dict (observation/alert counts, whether a
-    stats snapshot was found) for boot-time logging.
+    ``store`` is the store the service was built on.  Returns a small
+    summary dict (observation/alert counts, whether a stats snapshot was
+    found) for boot-time logging.
     """
-    observations = store.observations()
-    for event_id, announcement in observations:
-        service.adopt_observation(announcement, event_id)
-    if getattr(service, "_follow_store", False):
-        # Pooled workers: everything replayed so far is covered; the
-        # cursor resumes from the newest row instead of refolding.
-        service.enable_store_following(store.last_observation_seq())
+    observations = service.catch_up()
 
     snapshot = store.latest_stats()
     if snapshot is not None:
@@ -54,7 +46,7 @@ def rehydrate_service(service, store: EventStore) -> dict:
             service.stats.scored_rows = scored()
 
     return {
-        "observations": len(observations),
+        "observations": observations,
         "alerts": counts.get("alerts", 0),
         "announcements": counts.get("announcements", 0),
         "stats_snapshot": snapshot is not None,

@@ -232,12 +232,6 @@ class SQLiteEventStore(EventStore):
             when in rows
         ]
 
-    def last_observation_seq(self) -> int:
-        row = self._execute(
-            "SELECT COALESCE(MAX(seq), 0) FROM observations"
-        ).fetchone()
-        return int(row[0])
-
     def _alert_window(self, *, channel_id=None, since=None, until=None,
                       limit=None) -> tuple[str, list]:
         clauses, params = [], []

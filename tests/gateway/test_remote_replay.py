@@ -8,8 +8,8 @@ announcements, bit-for-bit identical rankings.
 
 import pytest
 
+from repro.core.predictor import TargetCoinPredictor
 from repro.gateway import GatewayApp, replay_against_gateway
-from repro.registry import load_predictor
 from repro.serving import CollectingSink, replay_test_period
 from tests.gateway.conftest import service_from
 
@@ -20,8 +20,9 @@ def exact(ranking):
 
 @pytest.fixture(scope="module")
 def local_result(gw_world, gw_collection, gw_registry):
-    predictor = load_predictor(gw_registry.resolve("snn"), gw_world,
-                               gw_collection.dataset)
+    predictor = TargetCoinPredictor.from_artifact(
+        gw_registry.resolve("snn"), gw_world, gw_collection.dataset
+    )
     return replay_test_period(gw_world, gw_collection, predictor)
 
 

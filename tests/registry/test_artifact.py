@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import evaluate_scores, predict_scores
-from repro.core.predictor import RankRequest
+from repro.core.predictor import RankRequest, TargetCoinPredictor
 from repro.registry import (
     ArtifactError,
     ArtifactIntegrityError,
@@ -22,7 +22,6 @@ from repro.registry import (
     PredictorArtifact,
     SCHEMA_VERSION,
     load_artifact,
-    load_predictor,
     save_artifact,
 )
 from repro.registry.artifact import MANIFEST_NAME, STATE_NAME, WEIGHTS_NAME
@@ -49,8 +48,9 @@ class TestRoundTrip:
                                      reg_world, reg_collection, tmp_path):
         predictor = trained_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
-        rebuilt = load_predictor(tmp_path / arch, reg_world,
-                                 reg_collection.dataset)
+        rebuilt = TargetCoinPredictor.from_artifact(
+            tmp_path / arch, reg_world, reg_collection.dataset
+        )
         request = _test_requests(reg_collection.dataset, count=1)[0]
         original = predictor.rank(request.channel_id, 0, request.pump_time)
         reloaded = rebuilt.rank(request.channel_id, 0, request.pump_time)
@@ -63,8 +63,9 @@ class TestRoundTrip:
                                    reg_world, reg_collection, tmp_path):
         predictor = trained_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
-        rebuilt = load_predictor(tmp_path / arch, reg_world,
-                                 reg_collection.dataset)
+        rebuilt = TargetCoinPredictor.from_artifact(
+            tmp_path / arch, reg_world, reg_collection.dataset
+        )
         requests = _test_requests(reg_collection.dataset, count=2)
         for original, reloaded in zip(predictor.rank_many(requests),
                                       rebuilt.rank_many(requests)):
@@ -75,8 +76,9 @@ class TestRoundTrip:
                                reg_collection, reg_assembled, tmp_path):
         predictor = trained_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
-        rebuilt = load_predictor(tmp_path / arch, reg_world,
-                                 reg_collection.dataset)
+        rebuilt = TargetCoinPredictor.from_artifact(
+            tmp_path / arch, reg_world, reg_collection.dataset
+        )
         original = predict_scores(predictor.model, reg_assembled.test)
         reloaded = predict_scores(rebuilt.model, reg_assembled.test)
         assert np.array_equal(original, reloaded)
@@ -301,10 +303,10 @@ class TestFailureModes:
 
     def test_bare_weights_npz_rejected_with_hint(self, trained_predictors,
                                                  tmp_path):
-        from repro.nn.serialize import save_module
+        from repro.nn.serialize import save_state_dict
 
         path = tmp_path / "bare.npz"
-        save_module(trained_predictors["dnn"].model, path)
+        save_state_dict(trained_predictors["dnn"].model.state_dict(), path)
         with pytest.raises(ArtifactError, match="bare-weights"):
             load_artifact(path)
 
@@ -330,16 +332,6 @@ class TestFailureModes:
 
 
 class TestLegacySerialize:
-    def test_load_module_warns_on_bare_archive(self, trained_predictors,
-                                               tmp_path):
-        from repro.nn.serialize import load_module, save_module
-
-        model = trained_predictors["dnn"].model
-        path = tmp_path / "legacy.npz"
-        save_module(model, path)
-        with pytest.warns(DeprecationWarning, match="cannot be served"):
-            load_module(model, path)
-
     def test_artifact_weights_load_without_warning(self, trained_predictors,
                                                    tmp_path, recwarn):
         save_artifact(trained_predictors["dnn"], tmp_path / "a")

@@ -12,6 +12,9 @@ whole supervision contract:
 * any worker's ``/v1/metrics`` answers for the whole pool;
 * SIGTERM to the supervisor fans out, every worker drains and flushes,
   and the supervisor exits 0.
+
+And, for one worker (the in-process default) and for two: stats
+snapshots follow ``--snapshot-s``, whatever the metrics-publish cadence.
 """
 
 from __future__ import annotations
@@ -29,15 +32,20 @@ import pytest
 
 import repro
 from repro.gateway import GatewayClient
-from repro.serving import Announcement
+from repro.gateway.pool import print_line
 from repro.store import SQLiteEventStore, rehydrate_service
-from tests.resilience.test_recovery import _LineReader, exact
-from tests.store.conftest import announcements_from
+from tests.resilience.test_recovery import _LineReader
+from tests.store.conftest import (
+    announcements_from,
+    exact,
+    probe_for,
+    unobserved_ranking,
+)
 
 _SERVING = re.compile(r"gateway\[w(\d+)\]: serving \(pid (\d+)\)")
 
 
-def _spawn_pool(artifact: Path, db: Path, workers: int
+def _spawn_pool(artifact: Path, db: Path, workers: int, snapshot_s: int = 1
                 ) -> tuple[subprocess.Popen, _LineReader, str]:
     src_root = Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -49,7 +57,8 @@ def _spawn_pool(artifact: Path, db: Path, workers: int
          "--load", str(artifact), "--registry", str(artifact.parents[1]),
          "--host", "127.0.0.1", "--port", "0",
          "--workers", str(workers), "--batch-window-ms", "2",
-         "--store", str(db), "--snapshot-s", "1", "--drain-s", "5"],
+         "--store", str(db), "--snapshot-s", str(snapshot_s),
+         "--drain-s", "5"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env, start_new_session=True,
     )
@@ -113,12 +122,10 @@ class TestWorkerPoolLifecycle:
     def test_crash_respawn_dedup_parity_and_drain(self, st_registry,
                                                   st_service, st_positives,
                                                   tmp_path):
-        artifact = st_registry.resolve("dnn")
+        artifact = st_registry.resolve("snn")
         db = tmp_path / "events.db"
         streamed = announcements_from(st_positives, 3)
-        probe = Announcement(channel_id=streamed[0].channel_id, coin_id=-1,
-                             exchange_id=0, pair="BTC",
-                             time=streamed[0].time + 1.0)
+        probe = probe_for(streamed[0])
 
         proc, reader, url = _spawn_pool(artifact, db, workers=2)
         try:
@@ -155,8 +162,9 @@ class TestWorkerPoolLifecycle:
             first = exact(client.rank(probe).ranking)
             second = exact(retrier.rank(probe).ranking)
             assert first == second
+            assert first != unobserved_ranking(st_service, probe)
             with SQLiteEventStore(db) as store:
-                reborn = st_service(store=store)
+                reborn = st_service(store=store, arch="snn")
                 recovered = rehydrate_service(reborn, store)
                 assert recovered["observations"] == len(streamed)
                 assert exact(
@@ -188,3 +196,43 @@ class TestWorkerPoolLifecycle:
         with SQLiteEventStore(db) as store:
             assert store.counts()["observations"] == len(streamed)
             assert store.latest_stats() is not None
+
+
+def test_print_line_writes_each_line_once(monkeypatch):
+    """Pool processes share stdout: a line must leave in one write, or two
+    workers booting together interleave mid-line under ``python -u``."""
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    print_line("gateway[w0]: serving (pid 1)")
+    assert writes == ["gateway[w0]: serving (pid 1)\n"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stats_snapshots_follow_snapshot_s(st_registry, tmp_path, workers):
+    """``--snapshot-s 30`` over a few seconds of serving: no periodic
+    snapshot falls due, so each worker writes only its final one."""
+    db = tmp_path / "events.db"
+    proc, reader, url = _spawn_pool(st_registry.resolve("dnn"), db, workers,
+                                    snapshot_s=30)
+    try:
+        _worker_pids(reader, expect=workers)
+        assert GatewayClient(url, timeout=120.0).healthz().status == "ok"
+        # Longer than the pool's 2 s metrics-publish period.
+        time.sleep(5.0)
+        os.kill(proc.pid, signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+    finally:
+        if proc.poll() is None:
+            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+            proc.wait(timeout=30)
+    with SQLiteEventStore(db) as store:
+        assert store.counts()["stats_snapshots"] == workers

@@ -25,13 +25,13 @@ import pytest
 
 import repro
 from repro.gateway import GatewayApp, GatewayClient, serve_in_thread
-from repro.serving import Announcement
 from repro.store import SQLiteEventStore, rehydrate_service
-from tests.store.conftest import announcements_from
-
-
-def exact(ranking):
-    return tuple((s.coin_id, s.probability) for s in ranking.scores)
+from tests.store.conftest import (
+    announcements_from,
+    exact,
+    probe_for,
+    unobserved_ranking,
+)
 
 
 class TestInProcessCrashRecovery:
@@ -40,13 +40,12 @@ class TestInProcessCrashRecovery:
                                                   tmp_path):
         db = tmp_path / "events.db"
         streamed = announcements_from(st_positives, 3)
-        probe = Announcement(channel_id=streamed[0].channel_id, coin_id=-1,
-                             exchange_id=0, pair="BTC",
-                             time=streamed[0].time + 1.0)
+        probe = probe_for(streamed[0])
 
         # First life: real HTTP traffic into a store-backed gateway.
         first_app = GatewayApp(
-            st_service(store=SQLiteEventStore(db)), registry=st_registry)
+            st_service(store=SQLiteEventStore(db), arch="snn"),
+            registry=st_registry)
         first_server, _ = serve_in_thread(first_app)
         client = GatewayClient(first_server.url)
         ids = [f"cli:recovery-{i}" for i in range(len(streamed))]
@@ -54,6 +53,7 @@ class TestInProcessCrashRecovery:
             assert client.observe(announcement,
                                   event_id=event_id).duplicate is False
         expected = exact(client.rank(probe).ranking)
+        assert expected != unobserved_ranking(st_service, probe)
         alerts_before = first_app.service.stats.alerts
         # The crash: the server stops but neither flushes nor closes the
         # store — every committed append must already be durable.
@@ -62,7 +62,7 @@ class TestInProcessCrashRecovery:
 
         # Second life: fresh service, fresh handle, same file.
         store = SQLiteEventStore(db)
-        reborn = st_service(store=store)
+        reborn = st_service(store=store, arch="snn")
         recovered = rehydrate_service(reborn, store)
         assert recovered["observations"] == len(streamed)
         second_app = GatewayApp(reborn, registry=st_registry)
@@ -144,13 +144,12 @@ def _spawn_gateway(artifact: Path, db: Path) -> tuple[subprocess.Popen,
 @pytest.mark.slow
 class TestSubprocessKill9:
     def test_kill9_restart_rehydrate_bit_identical(self, st_registry,
-                                                   st_positives, tmp_path):
-        artifact = st_registry.resolve("dnn")
+                                                   st_service, st_positives,
+                                                   tmp_path):
+        artifact = st_registry.resolve("snn")
         db = tmp_path / "events.db"
         streamed = announcements_from(st_positives, 2)
-        probe = Announcement(channel_id=streamed[0].channel_id, coin_id=-1,
-                             exchange_id=0, pair="BTC",
-                             time=streamed[0].time + 1.0)
+        probe = probe_for(streamed[0])
 
         # Life 1: boot, stream observations + rankings, then kill -9.
         proc, _reader, url = _spawn_gateway(artifact, db)
@@ -161,6 +160,7 @@ class TestSubprocessKill9:
                     announcement, event_id=f"cli:kill9-{i}"
                 ).duplicate is False
             expected = exact(client.rank(probe).ranking)
+            assert expected != unobserved_ranking(st_service, probe)
             assert client.stats().service["alerts"] >= 1
         finally:
             proc.kill()   # SIGKILL: no drain, no flush, no goodbye

@@ -142,7 +142,7 @@ class _BatchRecordingService:
 
 class TestTimeEpsilonBoundary:
     """Regression: the micro-batching boundary is *strictly greater than*
-    ``_TIME_EPSILON`` — two announcements exactly epsilon apart share one
+    ``TIME_EPSILON`` — two announcements exactly epsilon apart share one
     forward pass; just beyond it they must not.
     """
 
@@ -165,22 +165,22 @@ class TestTimeEpsilonBoundary:
         return service.batch_sizes
 
     def test_exactly_epsilon_apart_share_a_batch(self):
-        from repro.serving.engine import _TIME_EPSILON
+        from repro.serving.engine import TIME_EPSILON
 
         base = 100.0
-        assert self._run([base, base + _TIME_EPSILON]) == [2]
+        assert self._run([base, base + TIME_EPSILON]) == [2]
 
     def test_just_beyond_epsilon_splits_the_batch(self):
-        from repro.serving.engine import _TIME_EPSILON
+        from repro.serving.engine import TIME_EPSILON
 
         base = 100.0
-        assert self._run([base, base + 2.5 * _TIME_EPSILON]) == [1, 1]
+        assert self._run([base, base + 2.5 * TIME_EPSILON]) == [1, 1]
 
     def test_chain_of_epsilon_steps_batches_from_the_last_arrival(self):
         """The boundary compares against the *latest* pending announcement,
         so a chain of epsilon-spaced arrivals keeps extending one batch."""
-        from repro.serving.engine import _TIME_EPSILON
+        from repro.serving.engine import TIME_EPSILON
 
         base = 100.0
-        times = [base, base + _TIME_EPSILON, base + 2 * _TIME_EPSILON]
+        times = [base, base + TIME_EPSILON, base + 2 * TIME_EPSILON]
         assert self._run(times) == [3]

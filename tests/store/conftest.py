@@ -1,8 +1,11 @@
 """Shared fixtures for the durable-store tests.
 
-One tiny world and one briefly trained artifact per session; tests get a
-factory making fresh :class:`PredictionService` instances (optionally
-wired to a store) so rehydration can be compared against a clean boot.
+One tiny world and two briefly trained artifacts per session: a ``dnn``
+and an ``snn``.  The DNN ranker has no sequence encoder, so only the SNN
+makes a ranking depend on the folded pump history; history-parity tests
+serve it.  Tests get a factory making fresh :class:`PredictionService`
+instances (optionally wired to a store) so rehydration can be compared
+against a clean boot.
 """
 
 from __future__ import annotations
@@ -37,15 +40,16 @@ def st_collection(st_world):
 def st_registry(st_world, st_collection, tmp_path_factory) -> ModelRegistry:
     assembler = FeatureAssembler(st_world, st_collection.dataset)
     assembled = assembler.assemble()
-    model = make_model("dnn", snn_config_for(assembled), seed=0)
-    Trainer(epochs=1, seed=0).fit(
-        model, assembled.train, assembled.validation
-    )
-    predictor = TargetCoinPredictor(
-        st_world, st_collection.dataset, model, assembler
-    )
     registry = ModelRegistry(tmp_path_factory.mktemp("store-registry"))
-    registry.publish(predictor, "dnn", provenance={"model": "dnn"})
+    for arch in ("dnn", "snn"):
+        model = make_model(arch, snn_config_for(assembled), seed=0)
+        Trainer(epochs=1, seed=0).fit(
+            model, assembled.train, assembled.validation
+        )
+        predictor = TargetCoinPredictor(
+            st_world, st_collection.dataset, model, assembler
+        )
+        registry.publish(predictor, arch, provenance={"model": arch})
     return registry
 
 
@@ -67,13 +71,33 @@ def announcements_from(positives, n: int) -> list[Announcement]:
     ]
 
 
+def probe_for(announcement) -> Announcement:
+    """A stateless prediction request issued after the observations."""
+    return Announcement(channel_id=announcement.channel_id, coin_id=-1,
+                        exchange_id=0, pair="BTC",
+                        time=announcement.time + 1.0)
+
+
+def exact(ranking):
+    return tuple((s.coin_id, s.probability) for s in ranking.scores)
+
+
+def unobserved_ranking(make_service, probe: Announcement) -> tuple:
+    """``probe``'s SNN ranking from a service that folded nothing.
+
+    A history-parity test asserts its ranking differs from this one, so
+    it cannot pass when no observation was folded at all.
+    """
+    return exact(make_service(arch="snn").rank_one(probe).ranking)
+
+
 @pytest.fixture
 def st_service(st_registry, st_world, st_collection):
-    """Factory: a fresh service from the session artifact."""
+    """Factory: a fresh service from a session artifact."""
 
-    def make(store=None) -> PredictionService:
+    def make(store=None, arch: str = "dnn") -> PredictionService:
         return PredictionService.from_artifact(
-            st_registry.resolve("dnn"), st_world, st_collection.dataset,
+            st_registry.resolve(arch), st_world, st_collection.dataset,
             store=store,
         )
 

@@ -7,20 +7,13 @@ window, and the store-reconstructible stats all survive.
 
 import pytest
 
-from repro.serving import Announcement
 from repro.store import SQLiteEventStore, rehydrate_service
-from tests.store.conftest import announcements_from
-
-
-def exact(ranking):
-    return tuple((s.coin_id, s.probability) for s in ranking.scores)
-
-
-def probe_for(announcement) -> Announcement:
-    """A stateless prediction request issued after the observations."""
-    return Announcement(channel_id=announcement.channel_id, coin_id=-1,
-                        exchange_id=0, pair="BTC",
-                        time=announcement.time + 1.0)
+from tests.store.conftest import (
+    announcements_from,
+    exact,
+    probe_for,
+    unobserved_ranking,
+)
 
 
 @pytest.fixture
@@ -44,14 +37,16 @@ class TestRehydrate:
         # Life before the crash: a service streams observations into the
         # store.  No close()/flush() — kill -9 semantics, the WAL commits
         # per append.
-        first_life = st_service(store=SQLiteEventStore(store_path))
+        first_life = st_service(store=SQLiteEventStore(store_path),
+                                arch="snn")
         for announcement in streamed:
             assert first_life.observe(announcement) is True
         expected = exact(first_life.rank_one(probe).ranking)
+        assert expected != unobserved_ranking(st_service, probe)
 
         # A fresh process: new store handle, new service, replay.
         store = SQLiteEventStore(store_path)
-        second_life = st_service(store=store)
+        second_life = st_service(store=store, arch="snn")
         recovered = rehydrate_service(second_life, store)
         assert recovered["observations"] == len(streamed)
         assert second_life.history(probe.channel_id) \

@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+import os
+import shutil
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+@pytest.fixture(scope="module")
+def registry_root(tmp_path_factory):
+    """A registry holding one briefly trained ``dnn`` (also exported)."""
+    root = tmp_path_factory.mktemp("registry")
+    code = main([
+        "train", "--scale", "tiny", "--model", "dnn", "--epochs", "1",
+        "--save", str(root.parent / "exported"),
+        "--register", "dnn", "--registry", str(root),
+    ])
+    assert code == 0
+    return root
 
 
 class TestParser:
@@ -78,6 +95,58 @@ class TestGatewayCommand:
         assert code == 2
         assert "cannot load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_corrupt_artifact_exits_2_before_binding(self, registry_root,
+                                                     tmp_path, monkeypatch,
+                                                     capsys, workers):
+        artifact = tmp_path / "corrupt"
+        shutil.copytree(registry_root / "dnn" / "v0001", artifact)
+        weights = artifact / "weights.npz"
+        blob = bytearray(weights.read_bytes())
+        blob[13] ^= 0xFF
+        weights.write_bytes(bytes(blob))
+
+        def no_fork():
+            raise AssertionError("the gateway forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code = main(["gateway", "--load", str(artifact),
+                     "--registry", str(registry_root), "--port", "0",
+                     "--workers", workers])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "cannot load" in captured.err
+        assert "listening" not in captured.out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_store_exits_2_before_binding(self, registry_root, tmp_path,
+                                              monkeypatch, capsys, workers):
+        store = tmp_path / "events.db"
+        store.write_bytes(b"not an event log" * 64)
+
+        def no_fork():
+            raise AssertionError("the gateway forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code = main(["gateway", "--load", "dnn",
+                     "--registry", str(registry_root), "--port", "0",
+                     "--store", str(store), "--workers", workers])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "cannot open event store" in captured.err
+        assert "listening" not in captured.out
+
+    def test_bound_port_exits_2(self, registry_root, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            code = main(["gateway", "--load", "dnn",
+                         "--registry", str(registry_root),
+                         "--port", str(taken.getsockname()[1]),
+                         "--workers", "1"])
+        assert code == 2
+        assert "cannot bind" in capsys.readouterr().err
+
     def test_serve_unreachable_gateway_exits_cleanly(self, capsys):
         code = main(["serve", "--scale", "tiny",
                      "--gateway", "http://127.0.0.1:9"])
@@ -128,17 +197,6 @@ class TestCommands:
 
 class TestModelLifecycle:
     """train --register → models list/inspect/validate → serve --load."""
-
-    @pytest.fixture(scope="class")
-    def registry_root(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("registry")
-        code = main([
-            "train", "--scale", "tiny", "--model", "dnn", "--epochs", "1",
-            "--save", str(root.parent / "exported"),
-            "--register", "dnn", "--registry", str(root),
-        ])
-        assert code == 0
-        return root
 
     def test_saved_and_registered_copies_identical(self, registry_root):
         # --save + --register snapshot once: the registered bundle is a
