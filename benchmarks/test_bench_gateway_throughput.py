@@ -191,7 +191,7 @@ def _spawn_pool(registry: ModelRegistry, workers: int) -> tuple:
          "--scale", "tiny", "--seed", "7",
          "--load", "dnn", "--registry", str(registry.root),
          "--host", "127.0.0.1", "--port", "0",
-         "--workers", str(workers), "--batch-window-ms", "2"],
+         "--workers", str(workers)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     url = None

@@ -17,7 +17,7 @@ PAPER = {
 
 def test_table1_pump_message_detection(benchmark, world, collection):
     from repro.data import ChannelExplorer, run_detection_pipeline
-    from repro.simulation.coins import EXCHANGE_NAMES
+    from repro.markets import EXCHANGE_NAMES
 
     explorer = ChannelExplorer(world.channels, world.messages, max_hops=2)
     collected = explorer.collect_messages(

@@ -7,7 +7,7 @@ multiple exchanges; extraction covers the bulk of ground-truth events.
 
 from benchmarks._reporting import report
 from benchmarks.conftest import run_once
-from repro.simulation.coins import EXCHANGE_NAMES
+from repro.markets import EXCHANGE_NAMES
 from repro.utils import format_table, to_timestamp
 
 PAPER = {"samples": 1335, "events": 709, "channels": 108, "coins": 278,

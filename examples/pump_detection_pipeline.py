@@ -14,8 +14,8 @@ from repro.data import (
     run_detection_pipeline,
     sessionize,
 )
+from repro.markets import EXCHANGE_NAMES
 from repro.simulation import SyntheticWorld
-from repro.simulation.coins import EXCHANGE_NAMES
 from repro.utils import ReproConfig, format_table, to_timestamp
 
 

@@ -460,7 +460,6 @@ def cmd_serve(args) -> int:
         result = replay_test_period(
             source, collection, predictor, sinks=tuple(sinks),
             bucket_hours=args.bucket_hours,
-            cache_entries=0 if args.no_cache else 512,
             max_batch=args.max_batch, store=store,
         )
         if store is not None:
@@ -505,8 +504,6 @@ def cmd_gateway(args) -> int:
         return _fail("gateway", "--drain-s must be > 0")
     if args.workers < 1:
         return _fail("gateway", "--workers must be >= 1")
-    if args.batch_window_ms < 0:
-        return _fail("gateway", "--batch-window-ms must be >= 0")
     if args.slow_ms < 0:
         return _fail("gateway", "--slow-ms must be >= 0")
 
@@ -563,10 +560,7 @@ def cmd_gateway(args) -> int:
         store, error = _open_store(args, "gateway")
         if error is not None:
             raise SystemExit(error)
-        service_options = {
-            "bucket_hours": args.bucket_hours,
-            "cache_entries": 0 if args.no_cache else 512,
-        }
+        service_options = {"bucket_hours": args.bucket_hours}
         if store is not None:
             service_options["store"] = store
         service = PredictionService(predictor, **service_options)
@@ -583,7 +577,6 @@ def cmd_gateway(args) -> int:
             service, registry=ModelRegistry(args.registry), model=descriptor,
             max_batch=args.max_batch, service_options=service_options,
             telemetry=TelemetryHub(slow_ms=args.slow_ms),
-            batch_window_ms=args.batch_window_ms,
         )
         return app, store
 
@@ -699,6 +692,8 @@ def cmd_history(args) -> int:
         return 0
     except StoreError as exc:
         return _fail("history", f"query failed: {exc}")
+    except ValueError as exc:  # an out-of-range --k or --limit
+        return _fail("history", str(exc))
     finally:
         store.close()
 
@@ -722,7 +717,10 @@ def cmd_telemetry(args) -> int:
     from repro.gateway import GatewayClient, GatewayClientError
     from repro.telemetry import ExpositionError, parse_text
 
-    client = GatewayClient(args.url)
+    try:
+        client = GatewayClient(args.url)
+    except ValueError as exc:
+        return _fail("telemetry", f"bad --url: {exc}")
     if args.telemetry_command == "metrics":
         try:
             text = client.metrics_text()
@@ -1153,8 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "SQLite event log (repro.store)")
     p_serve.add_argument("--bucket-hours", type=float, default=1.0,
                          help="feature-cache time bucket (0 = exact times)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable feature memoization")
     p_serve.add_argument("--max-batch", type=int, default=64,
                          help="max concurrent announcements per forward pass")
     p_serve.add_argument("--load", default="", metavar="REF",
@@ -1191,8 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="largest accepted /v1/rank/batch request")
     p_gateway.add_argument("--bucket-hours", type=float, default=1.0,
                            help="feature-cache time bucket (0 = exact times)")
-    p_gateway.add_argument("--no-cache", action="store_true",
-                           help="disable feature memoization")
     p_gateway.add_argument("--verbose", action="store_true",
                            help="log one structured JSON line per HTTP "
                                 "request to stderr")
@@ -1226,12 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(SO_REUSEPORT where available); a "
                                 "supervisor restarts crashed workers and "
                                 "fans SIGTERM out for graceful drain")
-    p_gateway.add_argument("--batch-window-ms", type=float, default=2.0,
-                           metavar="MS",
-                           help="coalesce concurrent /v1/rank requests "
-                                "arriving within this window into one "
-                                "forward pass (0 disables; lone requests "
-                                "never wait)")
     p_gateway.set_defaults(fn=cmd_gateway)
 
     p_history = sub.add_parser(

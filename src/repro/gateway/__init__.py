@@ -20,7 +20,9 @@ Layers
 ``schema``  — wire-schema version, typed request/response dataclasses,
               strict decode, stable error codes (:data:`ERROR_CODES`).
 ``app``     — :class:`GatewayApp`: transport-free endpoint logic with an
-              atomically swappable service.
+              atomically swappable service.  Every ranked announcement,
+              from ``/v1/rank`` or ``/v1/rank/batch``, passes one gate
+              under the scoring lock.
 ``server``  — :class:`GatewayHTTPServer` (stdlib ``ThreadingHTTPServer``)
               plus :func:`make_server` / :func:`serve_in_thread`.
 ``client``  — :class:`GatewayClient`: the Python SDK; decodes responses
@@ -29,9 +31,13 @@ Layers
               :class:`~repro.resilience.RetryPolicy` (ISSUE 7).
 ``replay``  — :func:`replay_against_gateway`: drive a remote gateway from
               a locally replayed message stream (``repro serve
-              --gateway``).
+              --gateway``) through the in-process
+              :class:`~repro.serving.StreamEngine`, with
+              :func:`remote_ranker` scoring over the wire.
 ``microbatch`` — :class:`MicroBatcher`: coalesce concurrent ``/v1/rank``
-              requests across connections into one forward pass (PR 9).
+              requests across connections into one forward pass.  Every
+              ``/v1/rank`` goes through it (a fixed 2 ms window that a
+              lone request skips).
 ``pool``    — :func:`worker_serve`: the one worker loop every gateway
               serves through, in-process for ``--workers 1``; with
               :func:`bind_pool_sockets` / :func:`run_pool`, the
@@ -41,7 +47,7 @@ Layers
 """
 
 from repro.gateway.app import DEFAULT_MAX_BATCH, GatewayApp, describe_model
-from repro.gateway.microbatch import DEFAULT_WINDOW_MS, MicroBatcher
+from repro.gateway.microbatch import MicroBatcher
 from repro.gateway.pool import (
     PoolMetrics,
     bind_pool_sockets,
@@ -58,11 +64,7 @@ from repro.gateway.client import (
     GatewayRequestError,
     GatewayTimeoutError,
 )
-from repro.gateway.replay import (
-    RemoteReplay,
-    RemoteReplayResult,
-    replay_against_gateway,
-)
+from repro.gateway.replay import remote_ranker, replay_against_gateway
 from repro.gateway.schema import (
     DEADLINE_HEADER,
     ERROR_CODES,
@@ -85,9 +87,9 @@ __all__ = [
     "GatewayClient", "GatewayClientError", "GatewayConnectionError",
     "GatewayRequestError", "GatewayTimeoutError", "GatewayCircuitOpenError",
     "DEFAULT_TIMEOUT", "RETRYABLE_STATUSES",
-    "RemoteReplay", "RemoteReplayResult", "replay_against_gateway",
+    "remote_ranker", "replay_against_gateway",
     "TraceResponseV1", "TRACE_HEADER", "DURATION_HEADER",
     "DEADLINE_HEADER",
-    "MicroBatcher", "DEFAULT_WINDOW_MS",
+    "MicroBatcher",
     "PoolMetrics", "bind_pool_sockets", "run_pool", "worker_serve",
 ]

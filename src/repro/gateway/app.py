@@ -50,11 +50,15 @@ from repro.gateway.schema import (
 from repro.gateway.microbatch import MicroBatcher
 from repro.resilience import current_deadline
 from repro.serving.online import Announcement
-from repro.serving.service import Alert, PredictionService
+from repro.serving.service import PredictionService
 from repro.telemetry import TelemetryHub
 
 #: Default cap on ``/v1/rank/batch`` size (also the CLI default).
 DEFAULT_MAX_BATCH = 256
+
+#: How long a ``/v1/rank`` micro-batch stays open for concurrent
+#: requests; a lone request never waits (see :class:`MicroBatcher`).
+_COALESCE_WINDOW_S = 0.002
 
 
 def describe_model(ref: str | None, path=None, manifest: dict | None = None,
@@ -103,12 +107,9 @@ class GatewayApp:
     def __init__(self, service: PredictionService, *, registry=None,
                  model: dict | None = None, max_batch: int = DEFAULT_MAX_BATCH,
                  service_options: dict | None = None,
-                 telemetry: TelemetryHub | None = None,
-                 batch_window_ms: float = 0.0):
+                 telemetry: TelemetryHub | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
         self._service = service
         # The durable event log the service writes through (NullEventStore
         # when serving from memory); the app reuses it for stats snapshots
@@ -173,15 +174,11 @@ class GatewayApp:
             "gateway_microbatch_requests_total",
             "Rank requests served through micro-batch flushes.",
         )
-        # Cross-connection micro-batching (worker pools): /v1/rank
-        # requests on concurrent handler threads coalesce into one
-        # forward pass.  Window 0 keeps the direct per-request path.
-        self._batcher = None
-        if batch_window_ms > 0:
-            self._batcher = MicroBatcher(
-                self._execute_coalesced, batch_window_ms / 1000.0,
-                max_batch,
-            )
+        # Every /v1/rank goes through the micro-batcher: requests on
+        # concurrent handler threads coalesce into one forward pass, and a
+        # lone request skips the window.
+        self._batcher = MicroBatcher(self._execute_coalesced,
+                                     _COALESCE_WINDOW_S, max_batch)
         # Worker pools install a hook that merges peer workers' metric
         # dumps into this process's /v1/metrics exposition.
         self.metrics_merge = None
@@ -208,69 +205,75 @@ class GatewayApp:
     # -- scoring -------------------------------------------------------------
 
     @staticmethod
-    def _check_coin(service: PredictionService,
-                    announcement: Announcement) -> None:
-        """Refuse coin ids outside the universe before they reach history.
+    def _id_fault(service: PredictionService,
+                  announcement: Announcement) -> GatewayFault | None:
+        """Refuse coin and exchange ids the data source does not have.
 
         A ranked or observed announcement with ``coin_id >= 0`` is folded
         into the channel's pump history; an id no catalog row backs would
         crash feature encoding on every later request for that channel —
         permanently, since reload carries history across.  (< 0 is the
-        legitimate "unknown released coin" sentinel.)
+        legitimate "unknown released coin" sentinel.)  An exchange id
+        outside ``0..n_exchanges-1`` would index past the listing table,
+        or wrap around to another exchange's listings.
         """
-        universe = len(service.predictor.source.coins.symbols)
+        source = service.predictor.source
+        universe = len(source.coins.symbols)
         if announcement.coin_id >= universe:
-            raise bad_request(
+            return bad_request(
                 f"coin_id {announcement.coin_id} is outside the coin "
                 f"universe (0..{universe - 1})"
             )
+        if not 0 <= announcement.exchange_id < source.n_exchanges:
+            return bad_request(
+                f"exchange_id {announcement.exchange_id} is outside the "
+                f"data source's exchanges (0..{source.n_exchanges - 1})"
+            )
+        return None
 
-    def _ranked(self, announcements: list[Announcement]) -> list[Alert]:
-        """Gate + score a micro-batch under the scoring lock.
+    def _refusal(self, service: PredictionService,
+                 announcement: Announcement,
+                 deadline) -> GatewayFault | None:
+        """Why ``announcement`` must not be scored, or ``None``.
 
-        The same gates the streaming engine applies
-        (:meth:`StreamEngine.run`), but as stable 4xx codes instead of
-        silent skips: the remote caller, unlike the replay loop, needs to
-        know *why* an announcement was refused.
+        The one gate every ranked announcement passes under the scoring
+        lock: deadline, coin/exchange ids, known channel, listed
+        candidates.  The streaming engine skips the same announcements
+        silently; the remote caller gets a stable code saying why.
         """
-        with self._score_lock:
-            deadline = current_deadline()
-            if deadline is not None and deadline.expired:
-                # The budget burned away waiting for the lock: the caller
-                # has given up, so scoring now only wastes capacity.
-                self.record_shed("deadline")
-                raise GatewayFault(
-                    E_DEADLINE_EXCEEDED, 503,
-                    f"request deadline ({deadline.budget_seconds * 1000:.0f}"
-                    " ms) expired before scoring started",
-                )
-            service = self._service
-            for announcement in announcements:
-                self._check_coin(service, announcement)
-                if not service.knows_channel(announcement.channel_id):
-                    raise GatewayFault(
-                        E_UNKNOWN_CHANNEL, 422,
-                        f"channel {announcement.channel_id} was not part of "
-                        "the training universe",
-                    )
-            for announcement in announcements:
-                if not service.has_candidates(announcement):
-                    raise GatewayFault(
-                        E_NO_CANDIDATES, 422,
-                        f"no eligible coins listed on exchange "
-                        f"{announcement.exchange_id} at time "
-                        f"{announcement.time}",
-                    )
-            return service.rank_batch(list(announcements))
+        if deadline is not None and deadline.expired:
+            # The budget burned away waiting for the lock: the caller has
+            # given up, so scoring now only wastes capacity.
+            self.record_shed("deadline")
+            return GatewayFault(
+                E_DEADLINE_EXCEEDED, 503,
+                f"request deadline ({deadline.budget_seconds * 1000:.0f}"
+                " ms) expired before scoring started",
+            )
+        fault = self._id_fault(service, announcement)
+        if fault is not None:
+            return fault
+        if not service.knows_channel(announcement.channel_id):
+            return GatewayFault(
+                E_UNKNOWN_CHANNEL, 422,
+                f"channel {announcement.channel_id} was not part of the "
+                "training universe",
+            )
+        if not service.has_candidates(announcement):
+            return GatewayFault(
+                E_NO_CANDIDATES, 422,
+                f"no eligible coins listed on exchange "
+                f"{announcement.exchange_id} at time {announcement.time}",
+            )
+        return None
 
     def _execute_coalesced(self, entries) -> None:
         """Gate + score one micro-batch flush under the scoring lock.
 
-        Per-entry gating: each announcement passes exactly the checks a
-        solo ``_ranked([a])`` would run (deadline, coin universe, known
-        channel, candidates) and a failure faults only its own entry.
-        The survivors score in one ``rank_batch`` forward pass; scoring
-        is history-pure, so every alert is bit-identical to solo.
+        Each entry passes :meth:`_refusal` on its own, and a refusal
+        faults only that entry.  The survivors score in one
+        ``rank_batch`` forward pass; scoring is history-pure, so every
+        alert is bit-identical to a lone request's.
         """
         with self._score_lock:
             self._m_microbatch_flushes.inc()
@@ -278,33 +281,9 @@ class GatewayApp:
             service = self._service
             ready = []
             for entry in entries:
-                try:
-                    if entry.deadline is not None and entry.deadline.expired:
-                        self.record_shed("deadline")
-                        raise GatewayFault(
-                            E_DEADLINE_EXCEEDED, 503,
-                            f"request deadline "
-                            f"({entry.deadline.budget_seconds * 1000:.0f}"
-                            " ms) expired before scoring started",
-                        )
-                    announcement = entry.announcement
-                    self._check_coin(service, announcement)
-                    if not service.knows_channel(announcement.channel_id):
-                        raise GatewayFault(
-                            E_UNKNOWN_CHANNEL, 422,
-                            f"channel {announcement.channel_id} was not "
-                            "part of the training universe",
-                        )
-                    if not service.has_candidates(announcement):
-                        raise GatewayFault(
-                            E_NO_CANDIDATES, 422,
-                            f"no eligible coins listed on exchange "
-                            f"{announcement.exchange_id} at time "
-                            f"{announcement.time}",
-                        )
-                except GatewayFault as fault:
-                    entry.fault = fault
-                else:
+                entry.fault = self._refusal(service, entry.announcement,
+                                            entry.deadline)
+                if entry.fault is None:
                     ready.append(entry)
             if not ready:
                 return
@@ -316,11 +295,7 @@ class GatewayApp:
 
     def rank(self, request: RankRequestV1) -> RankResponseV1:
         self.count("rank")
-        if self._batcher is not None:
-            return RankResponseV1(
-                self._batcher.submit(request.announcement)
-            )
-        return RankResponseV1(self._ranked([request.announcement])[0])
+        return RankResponseV1(self._batcher.submit(request.announcement))
 
     def rank_batch(self, request: RankBatchRequestV1) -> RankBatchResponseV1:
         self.count("rank_batch")
@@ -333,16 +308,28 @@ class GatewayApp:
             )
         if not request.announcements:
             return RankBatchResponseV1(())
-        return RankBatchResponseV1(
-            tuple(self._ranked(list(request.announcements)))
-        )
+        announcements = list(request.announcements)
+        with self._score_lock:
+            service = self._service
+            deadline = current_deadline()
+            # All or nothing: the first refusal answers for the whole
+            # request before any announcement is scored.
+            for announcement in announcements:
+                fault = self._refusal(service, announcement, deadline)
+                if fault is not None:
+                    raise fault
+            return RankBatchResponseV1(
+                tuple(service.rank_batch(announcements))
+            )
 
     def observe(self, request: ObserveRequestV1) -> ObserveResponseV1:
         self.count("observe")
         announcement = request.announcement
         with self._score_lock:
             service = self._service
-            self._check_coin(service, announcement)
+            fault = self._id_fault(service, announcement)
+            if fault is not None:
+                raise fault
             grew = service.observe(announcement, event_id=request.event_id)
             length = len(service.history(announcement.channel_id))
         # Coin id is validated >= 0 at decode, so "didn't grow" with an

@@ -63,6 +63,7 @@ from repro.gateway.schema import (
 )
 from repro.resilience import (
     DEFAULT_RETRY_POLICY,
+    NO_RETRY,
     CircuitBreaker,
     CircuitOpenError,
     RetryPolicy,
@@ -429,13 +430,15 @@ class GatewayClient:
         return isinstance(exc, GatewayRequestError) \
             and exc.status in RETRYABLE_STATUSES
 
-    def _call(self, endpoint: str, fn):
+    def _call(self, endpoint: str, fn, retry: RetryPolicy | None = None):
         """Run one logical API call under the breaker + retry policy.
 
-        ``fn`` must be safe to invoke repeatedly — every retried endpoint
-        is idempotent by construction (see the module docstring).
+        ``retry`` overrides the client's policy for this call.  ``fn``
+        must be safe to invoke repeatedly under it — every retried
+        endpoint is idempotent by construction (see the module
+        docstring).
         """
-        policy = self.retry
+        policy = self.retry if retry is None else retry
         attempt = 1
         while True:
             if self.breaker is not None:
@@ -517,23 +520,11 @@ class GatewayClient:
         The breaker still observes the outcome.
         """
         request = ReloadRequestV1(ref).to_payload()
-        if self.breaker is not None:
-            try:
-                self.breaker.allow()
-            except CircuitOpenError as exc:
-                raise GatewayCircuitOpenError(
-                    str(exc), exc.retry_after) from None
-        try:
-            payload = self._request("POST", "/v1/models/reload", request)
-        except GatewayClientError as exc:
-            if self.breaker is not None:
-                if self._is_breaker_failure(exc):
-                    self.breaker.record_failure()
-                else:
-                    self.breaker.record_success()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
+        payload = self._call(
+            "reload",
+            lambda: self._request("POST", "/v1/models/reload", request),
+            retry=NO_RETRY,
+        )
         return self._decode(ReloadResponseV1.decode, payload)
 
     def healthz(self) -> HealthResponseV1:

@@ -5,11 +5,11 @@ concurrent ``/v1/rank`` requests reach the app as independent single
 rankings — each paying a full forward pass even though the compiled
 plans score a batch of 16 for barely more than a batch of 1.  The
 :class:`MicroBatcher` coalesces them: the first thread to arrive becomes
-the *leader*, holds the batch open for a short window (``--batch-window-
-ms``, ~2 ms) while other handler threads append their announcements as
+the *leader*, holds the batch open for a short window (the gateway uses
+2 ms) while other handler threads append their announcements as
 *followers*, then runs one gated ``PredictionService.rank_batch`` for
 the lot and demultiplexes alerts (or per-entry faults) back to the
-waiting threads.
+waiting threads.  Every ``/v1/rank`` takes this route.
 
 Semantics are bit-for-bit those of solo ranking:
 
@@ -36,9 +36,6 @@ from repro.gateway.schema import E_INTERNAL, GatewayFault
 from repro.resilience import current_deadline
 from repro.serving.online import Announcement
 from repro.serving.service import Alert
-
-#: Default coalescing window in milliseconds (the CLI default).
-DEFAULT_WINDOW_MS = 2.0
 
 #: Upper bound on a follower's wait for its leader.  Only reachable if
 #: the executor thread dies mid-flush (a bug, not an operating mode);
@@ -92,7 +89,7 @@ class MicroBatcher:
         """Rank one announcement through the next coalesced flush.
 
         Returns the alert or raises the entry's :class:`GatewayFault` —
-        exactly what the solo path would have produced.
+        exactly what a lone request would have produced.
         """
         entry = _Entry(announcement, current_deadline())
         with self._lock:
@@ -152,4 +149,4 @@ class MicroBatcher:
                 entry.done.set()
 
 
-__all__ = ["DEFAULT_WINDOW_MS", "MicroBatcher"]
+__all__ = ["MicroBatcher"]

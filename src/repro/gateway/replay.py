@@ -1,108 +1,75 @@
 """Replay a message stream against a *remote* gateway.
 
-The client-side twin of :meth:`repro.serving.StreamEngine.run`: pump
-detection and 24h-gap sessionization run locally (they need only the
-fitted detection artefacts, not the ranker), while every scoring decision
-goes over the wire through the :class:`GatewayClient`.  Both twins run
-the *same* micro-batching event loop
-(:func:`repro.serving.engine.drive_stream`), so a replay against a
-gateway serving the same artifact produces bit-for-bit the alerts the
-local engine would (``tests/gateway/test_remote_replay.py``).
+Pump detection and 24h-gap sessionization run locally (they need only
+the fitted detection artefacts, not the ranker), while every scoring
+decision goes over the wire through the :class:`GatewayClient`.  The
+loop is the in-process one, :class:`repro.serving.StreamEngine`, with
+:func:`remote_ranker` in place of ``PredictionService.rank_batch``, so a
+replay against a gateway serving the same artifact produces bit-for-bit
+the alerts the local engine would (``tests/gateway/test_remote_replay.py``).
 
-Where the engine gates announcements locally (``knows_channel`` /
-``has_candidates``), the remote loop cannot — the model lives on the
-server — so it sends optimistically and converts the gateway's stable
-422 codes (``unknown_channel`` / ``no_candidates``) back into the
-engine's skip semantics, falling back from one batch POST to per-item
-POSTs only when a batch is refused.
+Where the local engine gates announcements before batching
+(``knows_channel`` / ``has_candidates``), the remote ranker cannot — the
+model lives on the server — so it sends optimistically and converts the
+gateway's stable 422 codes (``unknown_channel`` / ``no_candidates``) back
+into the engine's skip semantics, falling back from one batch POST to
+per-item POSTs only when a batch is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.data.pipeline import CollectionResult
 from repro.gateway.client import GatewayClient, GatewayRequestError
 from repro.gateway.schema import E_NO_CANDIDATES, E_UNKNOWN_CHANNEL
-from repro.serving.engine import drive_stream
-from repro.serving.online import Announcement, OnlineDetector, OnlineSessionizer
+from repro.serving.engine import (
+    EngineResult,
+    StreamEngine,
+    detector_and_sessionizer,
+    held_out_stream,
+)
+from repro.serving.online import Announcement
 from repro.serving.service import Alert
 from repro.serving.sinks import AlertSink
 from repro.serving.stats import ServiceStats
-from repro.serving.stream import MessageStream
 from repro.sources.base import as_source
 
-_SKIP_CODES = (E_UNKNOWN_CHANNEL, E_NO_CANDIDATES)
 
+def remote_ranker(client: GatewayClient, stats: ServiceStats):
+    """A :class:`StreamEngine` ranker that scores through ``client``.
 
-@dataclass
-class RemoteReplayResult:
-    """Everything one remote replay produced (client-side view)."""
+    One ``/v1/rank/batch`` per micro-batch; a batch the gateway refuses
+    with a skip code degrades to one ``/v1/rank`` per announcement, and
+    each refused one comes back as ``None`` (counted like the local
+    engine's skips).  Served alerts are counted with their
+    server-measured scoring latency.
+    """
 
-    alerts: list[Alert]
-    stats: ServiceStats
-    skipped: list[Announcement] = field(default_factory=list)
-
-
-class RemoteReplay:
-    """Event loop: local detection/sessionization, remote ranking."""
-
-    def __init__(self, detector: OnlineDetector,
-                 sessionizer: OnlineSessionizer, client: GatewayClient,
-                 sinks: tuple[AlertSink, ...] = (), max_batch: int = 64,
-                 stats: ServiceStats | None = None):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.detector = detector
-        self.sessionizer = sessionizer
-        self.client = client
-        self.sinks = tuple(sinks)
-        self.max_batch = max_batch
-        self.stats = stats or ServiceStats()
-
-    def _rank_remote(self,
-                     batch: list[Announcement]) -> tuple[list[Alert],
-                                                         list[Announcement]]:
-        """One batch over the wire; refused batches degrade to singles."""
+    def rank_one(announcement: Announcement) -> Alert | None:
         try:
-            return self.client.rank_batch(batch), []
+            return client.rank(announcement)
         except GatewayRequestError as exc:
-            if exc.code not in _SKIP_CODES:
+            if exc.code == E_UNKNOWN_CHANNEL:
+                stats.unknown_channels += 1
+            elif exc.code == E_NO_CANDIDATES:
+                stats.no_candidates += 1
+            else:
                 raise
-        alerts: list[Alert] = []
-        skipped: list[Announcement] = []
-        for announcement in batch:
-            try:
-                alerts.append(self.client.rank(announcement))
-            except GatewayRequestError as exc:
-                if exc.code not in _SKIP_CODES:
-                    raise
-                if exc.code == E_UNKNOWN_CHANNEL:
-                    self.stats.unknown_channels += 1
-                else:
-                    self.stats.no_candidates += 1
-                skipped.append(announcement)
-        return alerts, skipped
+        return None
 
-    def _rank_and_record(self,
-                         batch: list[Announcement]) -> tuple[list[Alert],
-                                                             list[Announcement]]:
-        alerts, skipped = self._rank_remote(batch)
-        for alert in alerts:
-            # Server-measured scoring latency; the client-side loop only
-            # accounts for it.
-            self.stats.alerts += 1
-            self.stats.record_latency(alert.latency_ms)
-        return alerts, skipped
+    def rank_batch(batch: list[Announcement]) -> list[Alert | None]:
+        try:
+            results = client.rank_batch(batch)
+        except GatewayRequestError as exc:
+            if exc.code not in (E_UNKNOWN_CHANNEL, E_NO_CANDIDATES):
+                raise
+            results = [rank_one(announcement) for announcement in batch]
+        for alert in results:
+            if alert is not None:
+                stats.alerts += 1
+                stats.record_latency(alert.latency_ms)
+        return results
 
-    def run(self, stream: MessageStream) -> RemoteReplayResult:
-        alerts, skipped = drive_stream(
-            stream, detector=self.detector, sessionizer=self.sessionizer,
-            stats=self.stats, max_batch=self.max_batch, sinks=self.sinks,
-            rank_batch=self._rank_and_record,
-        )
-        return RemoteReplayResult(alerts=alerts, stats=self.stats,
-                                  skipped=skipped)
+    return rank_batch
 
 
 def replay_against_gateway(source, collection: CollectionResult,
@@ -110,7 +77,7 @@ def replay_against_gateway(source, collection: CollectionResult,
                            sinks: tuple[AlertSink, ...] = (),
                            max_batch: int = 64,
                            detector_threshold: float | None = None
-                           ) -> RemoteReplayResult:
+                           ) -> EngineResult:
     """Replay the held-out test period against a running gateway.
 
     The remote counterpart of
@@ -120,20 +87,10 @@ def replay_against_gateway(source, collection: CollectionResult,
     """
     source = as_source(source)
     stats = ServiceStats()
-    detector_kwargs = {}
-    if detector_threshold is not None:
-        detector_kwargs["threshold"] = detector_threshold
-    detector = OnlineDetector.from_detection(
-        collection.detection, stats=stats, **detector_kwargs
+    detector, sessionizer = detector_and_sessionizer(
+        source, collection, stats, detector_threshold=detector_threshold,
     )
-    sessionizer = OnlineSessionizer(
-        source.coins.symbols, list(source.exchange_names), stats=stats,
-    )
-    replay = RemoteReplay(detector, sessionizer, client, sinks=sinks,
+    engine = StreamEngine(detector, sessionizer,
+                          remote_ranker(client, stats), sinks=sinks,
                           max_batch=max_batch, stats=stats)
-    start = collection.dataset.split_hours[1]
-    stream = MessageStream.replay(
-        source, start=start,
-        channel_ids=collection.exploration.explored_ids,
-    )
-    return replay.run(stream)
+    return engine.run(held_out_stream(source, collection))

@@ -20,8 +20,11 @@ Layers
 ``sinks``    — :class:`AlertSink` and console/JSON-lines/collecting sinks.
 ``stats``    — :class:`ServiceStats` (latency percentiles, throughput,
                cache hit-rate).
-``engine``   — :class:`StreamEngine` plus :func:`build_engine` /
-               :func:`replay_test_period` wiring helpers.
+``engine``   — :class:`StreamEngine`, the one stream loop, over any
+               ``rank_batch`` ranker (in-process here, over HTTP in
+               :func:`repro.gateway.replay_against_gateway`), plus
+               :func:`build_engine` / :func:`replay_test_period` wiring
+               helpers.
 """
 
 from repro.serving.cache import FeatureCache, bucket_time

@@ -1,10 +1,17 @@
-"""The stream engine: detector → sessionizer → prediction service → sinks.
+"""The stream engine: detector → sessionizer → ranker → sinks.
 
 :class:`StreamEngine` consumes a :class:`MessageStream` and, message by
 message, runs the incremental §3.2 pipeline.  Announcements that land on
-the same stream timestamp are micro-batched into one model forward pass —
+the same stream timestamp are micro-batched into one ranking call —
 coordinated P&Ds release across many channels simultaneously, so this is
 the common case, not a corner case.
+
+The ranker is any ``rank_batch`` callable, so one loop serves both ways
+of reaching the model: :func:`build_engine` passes an in-process
+``PredictionService.rank_batch`` behind local admission checks, and
+:func:`repro.gateway.replay_against_gateway` passes a ranker that scores
+over HTTP.  The bit-for-bit remote/local alert parity rests on both
+batching identically, so there is exactly one loop to keep correct.
 
 :func:`build_engine` wires an engine from the offline artefacts (data
 source, collection, trained predictor); :func:`replay_test_period` is the
@@ -15,6 +22,7 @@ example and the end-to-end tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.predictor import TargetCoinPredictor
 from repro.data.pipeline import CollectionResult
@@ -30,58 +38,6 @@ from repro.telemetry import span
 TIME_EPSILON = 1e-9
 
 
-def drive_stream(stream: MessageStream, *, detector: OnlineDetector,
-                 sessionizer: OnlineSessionizer, stats: ServiceStats,
-                 rank_batch, max_batch: int,
-                 sinks: tuple[AlertSink, ...] = (),
-                 admit=None) -> tuple[list[Alert], list[Announcement]]:
-    """The micro-batching event loop shared by local and remote serving.
-
-    Messages flow through detection and sessionization one at a time;
-    announcements landing within :data:`TIME_EPSILON` of each other are
-    grouped, and every group is scored through ``rank_batch(batch) ->
-    (alerts, skipped)`` in ``max_batch``-sized slices.  ``admit``, when
-    given, gates each announcement before it joins a batch (return False
-    to skip it).  One loop serves both :class:`StreamEngine` (in-process
-    ranking, local gates) and :class:`repro.gateway.RemoteReplay`
-    (ranking over HTTP, server-side gates) — the bit-for-bit remote/local
-    alert parity rests on them batching identically, so there is exactly
-    one implementation to keep correct.
-    """
-    alerts: list[Alert] = []
-    skipped: list[Announcement] = []
-    pending: list[Announcement] = []
-
-    def flush() -> None:
-        while pending:
-            batch, pending[:] = pending[:max_batch], pending[max_batch:]
-            batch_alerts, batch_skipped = rank_batch(batch)
-            skipped.extend(batch_skipped)
-            with span("sink.emit", alerts=len(batch_alerts)):
-                for alert in batch_alerts:
-                    for sink in sinks:
-                        sink.emit(alert)
-            alerts.extend(batch_alerts)
-
-    with stats.timed_run():
-        for message in stream:
-            if pending and message.time > pending[-1].time + TIME_EPSILON:
-                flush()
-            stats.messages += 1
-            if not detector.is_pump(message):
-                continue
-            _closed, announcement = sessionizer.add(message)
-            if announcement is None:
-                continue
-            if admit is not None and not admit(announcement):
-                skipped.append(announcement)
-                continue
-            pending.append(announcement)
-        flush()
-        sessionizer.flush()
-    return alerts, skipped
-
-
 @dataclass
 class EngineResult:
     """Everything one replay produced."""
@@ -93,41 +49,99 @@ class EngineResult:
 
 
 class StreamEngine:
-    """Event-driven serving loop over a message stream."""
+    """Event-driven serving loop over a message stream.
 
-    def __init__(self, detector: OnlineDetector, sessionizer: OnlineSessionizer,
-                 service: PredictionService, sinks: tuple[AlertSink, ...] = (),
-                 max_batch: int = 64, stats: ServiceStats | None = None):
+    Messages flow through detection and sessionization one at a time;
+    announcements landing within :data:`TIME_EPSILON` of each other are
+    grouped, and every group is scored through ``rank_batch(batch)`` in
+    ``max_batch``-sized slices.  The ranker answers one entry per
+    announcement: its :class:`Alert`, or ``None`` when it refused the
+    announcement, which is then skipped.  ``admit``, when given, gates
+    each announcement before it joins a batch (return False to skip it).
+    """
+
+    def __init__(self, detector: OnlineDetector,
+                 sessionizer: OnlineSessionizer, rank_batch: Callable, *,
+                 admit: Callable[[Announcement], bool] | None = None,
+                 sinks: tuple[AlertSink, ...] = (), max_batch: int = 64,
+                 stats: ServiceStats | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.detector = detector
         self.sessionizer = sessionizer
-        self.service = service
+        self.rank_batch = rank_batch
+        self.admit = admit
         self.sinks = tuple(sinks)
         self.max_batch = max_batch
         self.stats = stats or ServiceStats()
 
-    def _admit(self, announcement: Announcement) -> bool:
-        """Gate an announcement before it joins a micro-batch."""
-        if not self.service.knows_channel(announcement.channel_id):
-            self.stats.unknown_channels += 1
-            return False
-        if not self.service.has_candidates(announcement):
-            # An always-on loop must outlive odd announcements
-            # (e.g. an exchange with nothing listed yet).
-            self.stats.no_candidates += 1
-            return False
-        return True
-
     def run(self, stream: MessageStream) -> EngineResult:
         """Replay the stream to exhaustion, emitting alerts along the way."""
-        alerts, skipped = drive_stream(
-            stream, detector=self.detector, sessionizer=self.sessionizer,
-            stats=self.stats, max_batch=self.max_batch, sinks=self.sinks,
-            admit=self._admit,
-            rank_batch=lambda batch: (self.service.rank_batch(batch), []),
-        )
+        alerts: list[Alert] = []
+        skipped: list[Announcement] = []
+        pending: list[Announcement] = []
+
+        def flush() -> None:
+            while pending:
+                batch, pending[:] = (pending[:self.max_batch],
+                                     pending[self.max_batch:])
+                served = []
+                for announcement, alert in zip(batch, self.rank_batch(batch),
+                                               strict=True):
+                    if alert is None:
+                        skipped.append(announcement)
+                    else:
+                        served.append(alert)
+                with span("sink.emit", alerts=len(served)):
+                    for alert in served:
+                        for sink in self.sinks:
+                            sink.emit(alert)
+                alerts.extend(served)
+
+        with self.stats.timed_run():
+            for message in stream:
+                if pending and message.time > pending[-1].time + TIME_EPSILON:
+                    flush()
+                self.stats.messages += 1
+                if not self.detector.is_pump(message):
+                    continue
+                _closed, announcement = self.sessionizer.add(message)
+                if announcement is None:
+                    continue
+                if self.admit is not None and not self.admit(announcement):
+                    skipped.append(announcement)
+                    continue
+                pending.append(announcement)
+            flush()
+            self.sessionizer.flush()
         return EngineResult(alerts=alerts, stats=self.stats, skipped=skipped)
+
+
+def detector_and_sessionizer(source, collection: CollectionResult,
+                             stats: ServiceStats, *,
+                             detector_threshold: float | None = None
+                             ) -> tuple[OnlineDetector, OnlineSessionizer]:
+    """The online front of every engine, local or remote: the fitted
+    pump-message detector and the per-channel sessionizer."""
+    detector_kwargs = {}
+    if detector_threshold is not None:
+        detector_kwargs["threshold"] = detector_threshold
+    detector = OnlineDetector.from_detection(
+        collection.detection, stats=stats, **detector_kwargs
+    )
+    sessionizer = OnlineSessionizer(
+        source.coins.symbols, list(source.exchange_names), stats=stats,
+    )
+    return detector, sessionizer
+
+
+def held_out_stream(source, collection: CollectionResult) -> MessageStream:
+    """The held-out test period: every explored channel's messages from
+    the validation/test boundary onwards."""
+    return MessageStream.replay(
+        source, start=collection.dataset.split_hours[1],
+        channel_ids=collection.exploration.explored_ids,
+    )
 
 
 def build_engine(source, collection: CollectionResult,
@@ -157,23 +171,28 @@ def build_engine(source, collection: CollectionResult,
             predictor, source, collection.dataset
         )
     stats = ServiceStats()
-    detector_kwargs = {}
-    if detector_threshold is not None:
-        detector_kwargs["threshold"] = detector_threshold
-    detector = OnlineDetector.from_detection(
-        collection.detection, stats=stats, **detector_kwargs
-    )
-    sessionizer = OnlineSessionizer(
-        source.coins.symbols,
-        list(source.exchange_names),
-        stats=stats,
+    detector, sessionizer = detector_and_sessionizer(
+        source, collection, stats, detector_threshold=detector_threshold,
     )
     service = PredictionService(
         predictor, bucket_hours=bucket_hours, cache_entries=cache_entries,
         history_cutoff=history_cutoff, stats=stats, store=store,
     )
-    return StreamEngine(detector, sessionizer, service, sinks=sinks,
-                        max_batch=max_batch, stats=stats)
+
+    def admit(announcement: Announcement) -> bool:
+        if not service.knows_channel(announcement.channel_id):
+            stats.unknown_channels += 1
+            return False
+        if not service.has_candidates(announcement):
+            # An always-on loop must outlive odd announcements
+            # (e.g. an exchange with nothing listed yet).
+            stats.no_candidates += 1
+            return False
+        return True
+
+    return StreamEngine(detector, sessionizer, service.rank_batch,
+                        admit=admit, sinks=sinks, max_batch=max_batch,
+                        stats=stats)
 
 
 def replay_test_period(source, collection: CollectionResult,
@@ -190,14 +209,9 @@ def replay_test_period(source, collection: CollectionResult,
     an in-memory predictor or a saved-artifact reference.
     """
     source = as_source(source)
-    start = collection.dataset.split_hours[1]
     engine = build_engine(
         source, collection, predictor, sinks=sinks, bucket_hours=bucket_hours,
         cache_entries=cache_entries, max_batch=max_batch,
-        history_cutoff=start, store=store,
+        history_cutoff=collection.dataset.split_hours[1], store=store,
     )
-    stream = MessageStream.replay(
-        source, start=start,
-        channel_ids=collection.exploration.explored_ids,
-    )
-    return engine.run(stream)
+    return engine.run(held_out_stream(source, collection))

@@ -5,7 +5,7 @@ CoinGecko, PumpOlymp) with a deterministic generative model; see DESIGN.md
 §2 for the substitution rationale.
 """
 
-from repro.simulation.coins import EXCHANGE_NAMES, PAIR_SYMBOLS, CoinUniverse
+from repro.simulation.coins import CoinUniverse
 from repro.simulation.market import (
     MOOD_PRICE_LAG,
     MarketSimulator,
@@ -13,13 +13,7 @@ from repro.simulation.market import (
 )
 from repro.simulation.channels import ChannelPopulation, NoiseChannel, PumpChannel
 from repro.simulation.events import EventLog, EventScheduler, PumpEvent
-from repro.simulation.messages import (
-    ALL_KINDS,
-    OCR_IMAGE_TEXT,
-    PUMP_KINDS,
-    Message,
-    MessageGenerator,
-)
+from repro.simulation.messages import MessageGenerator
 from repro.simulation.phases import (
     PhaseProfile,
     generate_phase_world,
@@ -32,8 +26,6 @@ __all__ = [
     "generate_phase_world",
     "phase_profiles_for",
     "CoinUniverse",
-    "EXCHANGE_NAMES",
-    "PAIR_SYMBOLS",
     "MarketSimulator",
     "PumpProfile",
     "MOOD_PRICE_LAG",
@@ -44,9 +36,5 @@ __all__ = [
     "EventLog",
     "PumpEvent",
     "MessageGenerator",
-    "Message",
-    "PUMP_KINDS",
-    "ALL_KINDS",
-    "OCR_IMAGE_TEXT",
     "SyntheticWorld",
 ]

@@ -18,11 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.markets import EXCHANGE_NAMES
 from repro.utils.config import ReproConfig
-
-# Exchange names and pairing majors are backend-neutral domain constants;
-# they live in repro.markets and are re-exported here for compatibility.
-from repro.markets import EXCHANGE_NAMES, PAIR_SYMBOLS  # noqa: F401
 
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 

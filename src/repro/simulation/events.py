@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.markets import PAIR_SYMBOLS
 from repro.simulation.channels import ChannelPopulation, PumpChannel
-from repro.simulation.coins import PAIR_SYMBOLS, CoinUniverse
+from repro.simulation.coins import CoinUniverse
 from repro.simulation.market import PumpProfile
 from repro.utils.config import ReproConfig
 

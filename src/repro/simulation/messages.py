@@ -24,16 +24,11 @@ from repro.simulation.channels import ChannelPopulation
 from repro.simulation.coins import CoinUniverse
 from repro.simulation.events import PumpEvent
 from repro.simulation.market import MarketSimulator
+from repro.types import OCR_IMAGE_TEXT, Message
 from repro.utils.config import ReproConfig
 from repro.utils.timeutil import to_timestamp
 
-# Message and its kind taxonomy are backend-neutral (a recorded dump or a
-# live feed yields the same type) and live in repro.types; re-exported here
-# for backward compatibility.
-from repro.types import ALL_KINDS, OCR_IMAGE_TEXT, PUMP_KINDS, Message  # noqa: E402
-
-__all__ = ["ALL_KINDS", "OCR_IMAGE_TEXT", "PUMP_KINDS", "Message",
-           "MessageGenerator"]
+__all__ = ["MessageGenerator"]
 
 _COUNTDOWN_OFFSETS = (36.0, 24.0, 12.0, 6.0, 3.0, 1.0, 0.5)
 

@@ -14,7 +14,8 @@ from repro.simulation.channels import ChannelPopulation
 from repro.simulation.coins import CoinUniverse
 from repro.simulation.events import EventLog, EventScheduler
 from repro.simulation.market import MarketSimulator
-from repro.simulation.messages import Message, MessageGenerator
+from repro.simulation.messages import MessageGenerator
+from repro.types import Message
 from repro.utils.config import ReproConfig
 
 

@@ -74,6 +74,7 @@ class EventStore:
     def alerts(self, *, channel_id: int | None = None,
                since: float | None = None, until: float | None = None,
                limit: int | None = None) -> list["Alert"]:
+        """Stored alerts in seq order; ``limit`` keeps the newest N."""
         raise NotImplementedError
 
     def latest_stats(self) -> dict | None:

@@ -261,8 +261,10 @@ class SQLiteEventStore(EventStore):
         where, params, tail = self._alert_window(
             channel_id=channel_id, since=since, until=until, limit=limit,
         )
+        # A limit keeps the newest rows, still returned in seq order.
         rows = self._execute(
-            f"SELECT payload FROM alerts{where} ORDER BY seq{tail}", params,
+            f"SELECT payload FROM (SELECT seq, payload FROM alerts{where} "
+            f"ORDER BY seq DESC{tail}) ORDER BY seq", params,
         ).fetchall()
         try:
             return [Alert.from_payload(json.loads(row[0])) for row in rows]

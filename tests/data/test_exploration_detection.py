@@ -10,8 +10,8 @@ from repro.data import (
     extract_invite_links,
     run_detection_pipeline,
 )
+from repro.markets import EXCHANGE_NAMES
 from repro.simulation import SyntheticWorld
-from repro.simulation.coins import EXCHANGE_NAMES
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()

@@ -11,7 +11,7 @@ from repro.data import (
     sessionize,
 )
 from repro.data.sessions import Session
-from repro.simulation import Message
+from repro.types import Message
 from repro.text import KeywordFilter, SentimentAnalyzer, tokenize
 
 

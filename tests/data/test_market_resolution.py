@@ -10,8 +10,9 @@ from repro.data.market_resolution import (
     resolve_image_release,
 )
 from repro.data.sessions import Session
-from repro.simulation import Message, OCR_IMAGE_TEXT, SyntheticWorld
-from repro.simulation.coins import EXCHANGE_NAMES
+from repro.markets import EXCHANGE_NAMES
+from repro.simulation import SyntheticWorld
+from repro.types import OCR_IMAGE_TEXT, Message
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()

@@ -14,7 +14,8 @@ from repro.data import (
     parse_release_symbol,
     sessionize,
 )
-from repro.simulation import Message, SyntheticWorld
+from repro.simulation import SyntheticWorld
+from repro.types import Message
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.data import ChannelExplorer, run_detection_pipeline
 from repro.data.updater import DatasetUpdater
+from repro.markets import EXCHANGE_NAMES
 from repro.simulation import SyntheticWorld
-from repro.simulation.coins import EXCHANGE_NAMES
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()

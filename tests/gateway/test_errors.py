@@ -13,7 +13,8 @@ import pytest
 
 from repro.gateway import GatewayApp, GatewayRequestError
 from repro.gateway.schema import SCHEMA_VERSION
-from repro.serving import Announcement
+from repro.serving import Announcement, PredictionService
+from repro.store import SQLiteEventStore
 from tests.gateway.conftest import make_announcements, service_from
 
 
@@ -116,6 +117,43 @@ class TestDomainRefusals:
         assert exc.value.code == "batch_too_large"
         assert exc.value.status == 413
 
+    def test_nothing_listed_yet_is_no_candidates(self, served_client,
+                                                 test_positives):
+        base = make_announcements(test_positives, 1, coin_known=False)[0]
+        # Every listing hour is >= 0: before hour 0 nothing trades.
+        early = Announcement(channel_id=base.channel_id, coin_id=-1,
+                             exchange_id=0, pair="BTC", time=-1.0)
+        with pytest.raises(GatewayRequestError) as exc:
+            served_client.rank(early)
+        assert exc.value.code == "no_candidates"
+        assert exc.value.status == 422
+
+    def test_rank_batch_is_all_or_nothing(self, gw_world, gw_collection,
+                                          gw_registry, gateway,
+                                          test_positives, tmp_path):
+        store = SQLiteEventStore(tmp_path / "events.db")
+        service = PredictionService.from_artifact(
+            gw_registry.resolve("dnn"), gw_world, gw_collection.dataset,
+            store=store,
+        )
+        _server, client = gateway(GatewayApp(service))
+        good = make_announcements(test_positives, 1)[0]
+        stranger = Announcement(channel_id=-424242, coin_id=-1,
+                                exchange_id=0, pair="BTC", time=good.time)
+        alerts, rows = service.stats.alerts, store.counts()
+        history = service.history(good.channel_id)
+        try:
+            with pytest.raises(GatewayRequestError) as exc:
+                client.rank_batch([good, stranger])
+            assert exc.value.code == "unknown_channel"
+            assert exc.value.status == 422
+            # The good entry was neither scored, logged nor folded.
+            assert service.stats.alerts == alerts
+            assert store.counts() == rows
+            assert service.history(good.channel_id) == history
+        finally:
+            store.close()
+
     def test_reload_unknown_model(self, served_client):
         with pytest.raises(GatewayRequestError) as exc:
             served_client.reload("no-such-model")
@@ -160,6 +198,33 @@ class TestHistoryPoisoning:
         with pytest.raises(GatewayRequestError) as exc:
             served_client.rank(poisoned)
         assert exc.value.code == "bad_request"
+
+
+class TestExchangeIds:
+    """Exchange ids outside the data source are refused up front: not a
+    500 from the listing table, nor another exchange's listings through
+    negative indexing."""
+
+    @pytest.mark.parametrize("exchange_id", [999, -1])
+    @pytest.mark.parametrize("endpoint", ["rank", "rank_batch", "observe"])
+    def test_out_of_range_exchange_is_bad_request(
+            self, served_client, test_positives, endpoint, exchange_id):
+        base = make_announcements(test_positives, 1)[0]
+        call = {
+            "rank": served_client.rank,
+            "rank_batch": lambda a: served_client.rank_batch([a]),
+            "observe": served_client.observe,
+        }[endpoint]
+        announcement = Announcement(
+            channel_id=base.channel_id,
+            coin_id=base.coin_id if endpoint == "observe" else -1,
+            exchange_id=exchange_id, pair="BTC", time=base.time,
+        )
+        with pytest.raises(GatewayRequestError) as exc:
+            call(announcement)
+        assert exc.value.code == "bad_request"
+        assert exc.value.status == 400
+        assert "exchange_id" in exc.value.message
 
 
 class TestWireRobustness:

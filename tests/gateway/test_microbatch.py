@@ -3,11 +3,11 @@
 Three contracts:
 
 * **parity** — an alert produced through a coalesced flush is
-  bit-for-bit the alert the solo path produces for the same
-  announcement, concurrent or sequential;
+  bit-for-bit the alert in-process ``PredictionService.rank_one``
+  produces for the same announcement, concurrent or sequential;
 * **per-entry gating** — one bad announcement (unknown channel, coin
   outside the universe, expired deadline) faults its own request with
-  the same stable code the solo path uses, and never poisons its
+  the same stable code a lone request gets, and never poisons its
   batch-mates;
 * **coalescing mechanics** — concurrent submits share one flush, a lone
   submit skips the window, a full batch releases the window early, and
@@ -31,7 +31,7 @@ from repro.gateway.schema import (
     RankRequestV1,
 )
 from repro.resilience import Deadline
-from repro.serving import Announcement
+from repro.serving import Announcement, PredictionService
 from tests.gateway.conftest import make_announcements, service_from
 
 
@@ -123,30 +123,28 @@ class TestMicroBatcherMechanics:
 
 
 @pytest.fixture(scope="module")
-def solo_app(gw_registry, gw_world, gw_collection) -> GatewayApp:
-    """The reference: batch_window_ms=0 keeps the direct rank path."""
-    return GatewayApp(
-        service_from(gw_registry, "dnn", gw_world, gw_collection))
+def solo_service(gw_registry, gw_world, gw_collection) -> PredictionService:
+    """The reference: in-process scoring, one announcement at a time."""
+    return service_from(gw_registry, "dnn", gw_world, gw_collection)
 
 
 @pytest.fixture(scope="module")
 def batched_app(gw_registry, gw_world, gw_collection) -> GatewayApp:
     return GatewayApp(
-        service_from(gw_registry, "dnn", gw_world, gw_collection),
-        batch_window_ms=25.0)
+        service_from(gw_registry, "dnn", gw_world, gw_collection))
 
 
 class TestCoalescedParity:
-    """The batched app against the solo app, same artifact."""
+    """The gateway's batched ranks against in-process solo scoring,
+    same artifact."""
 
     def test_concurrent_coalesced_ranks_match_solo_bit_for_bit(
-            self, solo_app, batched_app, test_positives):
+            self, solo_service, batched_app, test_positives):
         # coin_id=-1 announcements (the realistic rank input) fold no
         # history, so rankings are order-independent and comparable.
         announcements = make_announcements(test_positives, 3,
                                            coin_known=False)
-        expected = [exact(solo_app.rank(RankRequestV1(a)).alert)
-                    for a in announcements]
+        expected = [exact(solo_service.rank_one(a)) for a in announcements]
 
         before = batched_app._batcher.coalesced_requests
         results: list = [None] * len(announcements)
@@ -201,7 +199,7 @@ class TestCoalescedParity:
         assert entries[2].fault is not None
         assert entries[2].fault.status == 400
         assert "coin" in entries[2].fault.message
-        # Batch-mates scored, bit-identical to the solo path.
+        # Batch-mates scored, bit-identical to a lone request.
         for entry, announcement in ((entries[0], good[0]),
                                     (entries[3], good[1])):
             assert entry.fault is None
@@ -223,13 +221,12 @@ class TestCoalescedParity:
         assert entries[0].fault is None
         assert entries[0].alert is not None
 
-    def test_coalesced_ranks_over_real_http(self, gateway, solo_app,
+    def test_coalesced_ranks_over_real_http(self, gateway, solo_service,
                                             batched_app, test_positives):
         _server, client = gateway(batched_app)
         announcements = make_announcements(test_positives, 3,
                                            coin_known=False)
-        expected = [exact(solo_app.rank(RankRequestV1(a)).alert)
-                    for a in announcements]
+        expected = [exact(solo_service.rank_one(a)) for a in announcements]
 
         results: list = [None] * len(announcements)
         barrier = threading.Barrier(len(announcements))

@@ -58,7 +58,7 @@ class TestCrossStageInvariants:
             assert (example.channel_id, example.coin_id) in sample_keys
 
     def test_detected_messages_pass_keyword_filter(self, world, collection):
-        from repro.simulation.coins import EXCHANGE_NAMES
+        from repro.markets import EXCHANGE_NAMES
         from repro.text import KeywordFilter
 
         keyword_filter = KeywordFilter(

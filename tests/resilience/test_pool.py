@@ -56,7 +56,7 @@ def _spawn_pool(artifact: Path, db: Path, workers: int, snapshot_s: int = 1
          "--scale", "tiny", "--seed", "7",
          "--load", str(artifact), "--registry", str(artifact.parents[1]),
          "--host", "127.0.0.1", "--port", "0",
-         "--workers", str(workers), "--batch-window-ms", "2",
+         "--workers", str(workers),
          "--store", str(db), "--snapshot-s", str(snapshot_s),
          "--drain-s", "5"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,

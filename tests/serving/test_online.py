@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import SESSION_GAP_HOURS, sessionize
 from repro.serving import OnlineDetector, OnlineSessionizer, ServiceStats
-from repro.simulation.messages import Message
+from repro.types import Message
 from repro.text import KeywordFilter
 
 SYMBOLS = ["BTC", "ETH", "ABC", "XYZ"]

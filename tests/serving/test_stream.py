@@ -3,7 +3,7 @@
 import pytest
 
 from repro.serving import MessageStream, ReplaySource
-from repro.simulation.messages import Message
+from repro.types import Message
 
 
 def _msg(message_id, channel_id, time, text="hello"):

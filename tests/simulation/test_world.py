@@ -9,9 +9,9 @@ from repro.simulation import (
     EventScheduler,
     MarketSimulator,
     MessageGenerator,
-    PUMP_KINDS,
     SyntheticWorld,
 )
+from repro.types import PUMP_KINDS
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()

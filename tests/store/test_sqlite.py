@@ -91,7 +91,9 @@ class TestAppendsAndQueries:
         assert len(store.alerts(since=20.0)) == 3
         # until is exclusive: [since, until)
         assert len(store.alerts(since=10.0, until=30.0)) == 2
-        assert len(store.alerts(limit=2)) == 2
+        # limit keeps the newest alerts, still in seq order.
+        assert [a.announcement.time for a in store.alerts(limit=2)] == \
+            [30.0, 40.0]
         assert store.alerts(channel_id=2)[0].announcement.time == 30.0
 
     def test_latest_stats_wins(self, store):

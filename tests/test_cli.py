@@ -43,7 +43,6 @@ class TestParser:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.bucket_hours == 1.0
-        assert args.no_cache is False
         assert args.max_batch == 64
         assert args.load == ""
 
@@ -60,7 +59,6 @@ class TestParser:
         assert args.port == 8787
         assert args.max_batch == 256
         assert args.registry == "models"
-        assert args.no_cache is False
 
     def test_gateway_requires_load(self):
         with pytest.raises(SystemExit):
@@ -158,6 +156,33 @@ class TestGatewayCommand:
                      "--gateway", "ftp://example.com"])
         assert code == 2
         assert "bad --gateway URL" in capsys.readouterr().err
+
+
+class TestOperationalErrors:
+    """Bad arguments to history/telemetry exit 2 with one stderr line,
+    never a traceback."""
+
+    @pytest.fixture
+    def store_path(self, tmp_path):
+        from repro.store import SQLiteEventStore
+
+        path = tmp_path / "events.db"
+        SQLiteEventStore(path).close()
+        return str(path)
+
+    def test_telemetry_bad_url_scheme(self, capsys):
+        assert main(["telemetry", "metrics", "--url", "ftp://x"]) == 2
+        assert capsys.readouterr().err.startswith("repro telemetry: ")
+
+    def test_history_hr_k_below_one(self, store_path, capsys):
+        assert main(["history", "hr", "--store", store_path,
+                     "--k", "0"]) == 2
+        assert capsys.readouterr().err.startswith("repro history: ")
+
+    def test_history_alerts_negative_limit(self, store_path, capsys):
+        assert main(["history", "alerts", "--store", store_path,
+                     "--limit", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("repro history: ")
 
 
 class TestCommands:
