@@ -65,6 +65,12 @@ class PumpMessageDetector:
     def predict_proba(self, texts: Sequence[str]) -> np.ndarray:
         return self.model.predict_proba(self.vectorizer.transform(texts))
 
+    def predict_proba_one(self, text: str) -> float:
+        """P(pump) of one message, equal to ``predict_proba([text])[0]``
+        bit for bit, without scipy.  RF only: the LR detector scores
+        batches."""
+        return self.model.predict_proba_one(self.vectorizer.transform_one(text))
+
     def evaluate(self, texts: Sequence[str], labels,
                  threshold: float = DETECTION_THRESHOLD) -> BinaryClassificationReport:
         return classification_report(

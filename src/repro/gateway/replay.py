@@ -75,9 +75,7 @@ def remote_ranker(client: GatewayClient, stats: ServiceStats):
 def replay_against_gateway(source, collection: CollectionResult,
                            client: GatewayClient, *,
                            sinks: tuple[AlertSink, ...] = (),
-                           max_batch: int = 64,
-                           detector_threshold: float | None = None
-                           ) -> EngineResult:
+                           max_batch: int = 64) -> EngineResult:
     """Replay the held-out test period against a running gateway.
 
     The remote counterpart of
@@ -87,9 +85,7 @@ def replay_against_gateway(source, collection: CollectionResult,
     """
     source = as_source(source)
     stats = ServiceStats()
-    detector, sessionizer = detector_and_sessionizer(
-        source, collection, stats, detector_threshold=detector_threshold,
-    )
+    detector, sessionizer = detector_and_sessionizer(source, collection, stats)
     engine = StreamEngine(detector, sessionizer,
                           remote_ranker(client, stats), sinks=sinks,
                           max_batch=max_batch, stats=stats)

@@ -6,6 +6,8 @@ model its data pipeline uses for pump-message detection.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.ml.tree import DecisionTreeClassifier
@@ -90,10 +92,13 @@ class RandomForestClassifier:
             self.trees_.append(tree)
         return self
 
-    def predict_proba(self, x) -> np.ndarray:
-        """Average of per-tree leaf probabilities, P(y=1)."""
+    def _check_fitted(self) -> None:
         if not self.trees_:
             raise RuntimeError("model is not fitted")
+
+    def predict_proba(self, x) -> np.ndarray:
+        """Average of per-tree leaf probabilities, P(y=1)."""
+        self._check_fitted()
         if _issparse(x):
             x = np.asarray(x.todense())
         x = np.asarray(x, dtype=float)
@@ -102,23 +107,40 @@ class RandomForestClassifier:
             acc += tree.predict_proba(x)
         return acc / len(self.trees_)
 
+    def predict_proba_one(self, row: Mapping[int, float]) -> float:
+        """P(y=1) of one sparse row, ``{column: value}``; an absent column
+        reads 0.0.
+
+        Walks each tree's node lists with Python scalars and sums the
+        leaves in tree order from 0.0, as :meth:`predict_proba` does, so
+        the score equals that row's batch score bit for bit.
+        """
+        self._check_fitted()
+        acc = 0.0
+        for tree in self.trees_:
+            feature, threshold = tree.feature_, tree.threshold_
+            left, right = tree.left_, tree.right_
+            node = 0
+            column = feature[0]
+            while column >= 0:
+                if row.get(column, 0.0) <= threshold[node]:
+                    node = left[node]
+                else:
+                    node = right[node]
+                column = feature[node]
+            acc += tree.value_[node]
+        return acc / len(self.trees_)
+
     def predict(self, x, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(x) >= threshold).astype(int)
 
     def feature_importances(self) -> np.ndarray:
         """Split-frequency importances (how often each feature splits)."""
-        if not self.trees_:
-            raise RuntimeError("model is not fitted")
+        self._check_fitted()
         counts = np.zeros(self.trees_[0].n_features_)
-
-        def walk(node):
-            if node.is_leaf:
-                return
-            counts[node.feature] += 1
-            walk(node.left)
-            walk(node.right)
-
         for tree in self.trees_:
-            walk(tree._root)
+            for column in tree.feature_:
+                if column >= 0:
+                    counts[column] += 1
         total = counts.sum()
         return counts / total if total else counts

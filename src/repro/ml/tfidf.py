@@ -2,6 +2,12 @@
 
 Feeds the pump-message detector of §3.2: messages are cleaned, tokenized
 and represented as smoothed, L2-normalized TF-IDF vectors.
+
+``transform`` builds a CSR matrix for a batch of documents.
+``transform_one`` builds one document's row as a ``{column: value}``
+dict with numpy and the standard library only, for per-message scoring
+on the stream; it repeats ``transform``'s arithmetic step for step, so
+its values equal ``transform([doc]).toarray()[0]`` bit for bit.
 """
 
 from __future__ import annotations
@@ -95,6 +101,27 @@ class TfidfVectorizer:
         norms[norms == 0] = 1.0
         scale = sparse.diags(1.0 / norms)
         return scale @ matrix
+
+    def transform_one(self, document: str) -> dict[int, float]:
+        """One document's TF-IDF row as ``{column: value}``, without scipy.
+
+        ``transform`` keeps each row's columns sorted until the norm, and
+        scipy's ``sum(axis=1)`` reduces them with ``np.add.reduceat``;
+        this row does the same, because a sum in another order can differ
+        in the last bit.
+        """
+        if self.idf_ is None:
+            raise RuntimeError("vectorizer is not fitted")
+        counts = Counter(
+            self.vocabulary_[t] for t in self.tokenizer(document)
+            if t in self.vocabulary_
+        )
+        if not counts:
+            return {}
+        cols = sorted(counts)
+        values = np.array([counts[c] for c in cols], dtype=float) * self.idf_[cols]
+        norm = np.sqrt(np.add.reduceat(values * values, [0]))
+        return dict(zip(cols, (values * (1.0 / norm)).tolist()))
 
     def fit_transform(self, documents: Sequence[str]) -> "sparse.csr_matrix":
         return self.fit(documents).transform(documents)

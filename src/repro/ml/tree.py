@@ -4,28 +4,17 @@ Implemented with vectorized per-feature threshold scans: at each node, for
 every candidate feature we sort the feature column once and evaluate every
 split point from cumulative class counts, so node-splitting cost is
 ``O(features * n log n)``.
+
+A fitted tree is five flat, parallel node lists in preorder (a parent
+precedes its children): ``feature_``, ``threshold_``, ``left_``,
+``right_`` and ``value_`` (the node's P(y=1)).  A leaf has ``feature_ ==
+-1``.  Batch scoring routes index partitions over them with numpy; the
+forest walks them for one row with Python scalars.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass
-class _Node:
-    """Tree node; leaves carry class probabilities."""
-
-    prediction: np.ndarray  # P(class 0), P(class 1)
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _best_split_for_feature(values: np.ndarray, y: np.ndarray):
@@ -73,9 +62,12 @@ class DecisionTreeClassifier:
         self.min_samples_leaf = max(1, min_samples_leaf)
         self.max_features = max_features
         self._rng = rng or np.random.default_rng(0)
-        self._root: _Node | None = None
         self.n_features_: int = 0
-        self.n_nodes_: int = 0
+        self.feature_: list[int] = []
+        self.threshold_: list[float] = []
+        self.left_: list[int] = []
+        self.right_: list[int] = []
+        self.value_: list[float] = []
 
     def _n_candidate_features(self, d: int) -> int:
         if self.max_features is None:
@@ -84,18 +76,21 @@ class DecisionTreeClassifier:
             return max(1, int(np.sqrt(d)))
         return min(d, int(self.max_features))
 
-    def _leaf(self, y: np.ndarray) -> _Node:
-        p1 = float(y.mean()) if len(y) else 0.0
-        self.n_nodes_ += 1
-        return _Node(prediction=np.array([1.0 - p1, p1]))
-
-    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int) -> _Node:
+    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int) -> int:
+        """Append the subtree fitted to ``(x, y)`` in preorder; return its
+        root's index.  Every node starts as a leaf."""
+        node = len(self.value_)
+        self.feature_.append(-1)
+        self.threshold_.append(0.0)
+        self.left_.append(-1)
+        self.right_.append(-1)
+        self.value_.append(float(y.mean()) if len(y) else 0.0)
         if (
             depth >= self.max_depth
             or len(y) < self.min_samples_split
             or y.min() == y.max()
         ):
-            return self._leaf(y)
+            return node
         d = x.shape[1]
         k = self._n_candidate_features(d)
         candidates = (
@@ -112,15 +107,14 @@ class DecisionTreeClassifier:
             if gini < best_gini:
                 best_gini, best_feature, best_threshold = gini, int(feature), threshold
         if best_feature < 0:
-            return self._leaf(y)
+            return node
         mask = x[:, best_feature] <= best_threshold
         if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
-            return self._leaf(y)
-        node = self._leaf(y)  # carries the fallback prediction
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1)
+            return node
+        self.feature_[node] = best_feature
+        self.threshold_[node] = best_threshold
+        self.left_[node] = self._grow(x[mask], y[mask], depth + 1)
+        self.right_[node] = self._grow(x[~mask], y[~mask], depth + 1)
         return node
 
     def fit(self, x, y) -> "DecisionTreeClassifier":
@@ -131,28 +125,37 @@ class DecisionTreeClassifier:
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary 0/1")
         self.n_features_ = x.shape[1]
-        self.n_nodes_ = 0
-        self._root = self._grow(x, y, depth=0)
+        self.feature_, self.threshold_ = [], []
+        self.left_, self.right_, self.value_ = [], [], []
+        self._grow(x, y, depth=0)
         return self
+
+    def _check_fitted(self) -> None:
+        if not self.value_:
+            raise RuntimeError("model is not fitted")
 
     def predict_proba(self, x) -> np.ndarray:
         """Vectorized routing of rows down the tree; returns P(y=1)."""
-        if self._root is None:
-            raise RuntimeError("model is not fitted")
+        self._check_fitted()
         x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.n_features_:
+            raise ValueError(
+                f"model was fitted on {self.n_features_} features per row; "
+                f"got input of shape {x.shape}"
+            )
         out = np.empty(len(x))
         # Iterative partition routing: keep (node, row_indices) work items.
-        stack = [(self._root, np.arange(len(x)))]
+        stack = [(0, np.arange(len(x)))]
         while stack:
             node, idx = stack.pop()
             if len(idx) == 0:
                 continue
-            if node.is_leaf:
-                out[idx] = node.prediction[1]
+            if self.feature_[node] < 0:
+                out[idx] = self.value_[node]
                 continue
-            mask = x[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
+            mask = x[idx, self.feature_[node]] <= self.threshold_[node]
+            stack.append((self.left_[node], idx[mask]))
+            stack.append((self.right_[node], idx[~mask]))
         return out
 
     def predict(self, x, threshold: float = 0.5) -> np.ndarray:
@@ -160,11 +163,10 @@ class DecisionTreeClassifier:
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
-            raise RuntimeError("model is not fitted")
-        return walk(self._root)
+        self._check_fitted()
+        # Preorder: a node's depth is set before its children are reached.
+        depths = [0] * len(self.value_)
+        for node, left in enumerate(self.left_):
+            if left >= 0:
+                depths[left] = depths[self.right_[node]] = depths[node] + 1
+        return max(depths)

@@ -118,17 +118,11 @@ class StreamEngine:
 
 
 def detector_and_sessionizer(source, collection: CollectionResult,
-                             stats: ServiceStats, *,
-                             detector_threshold: float | None = None
+                             stats: ServiceStats
                              ) -> tuple[OnlineDetector, OnlineSessionizer]:
     """The online front of every engine, local or remote: the fitted
     pump-message detector and the per-channel sessionizer."""
-    detector_kwargs = {}
-    if detector_threshold is not None:
-        detector_kwargs["threshold"] = detector_threshold
-    detector = OnlineDetector.from_detection(
-        collection.detection, stats=stats, **detector_kwargs
-    )
+    detector = OnlineDetector.from_detection(collection.detection, stats=stats)
     sessionizer = OnlineSessionizer(
         source.coins.symbols, list(source.exchange_names), stats=stats,
     )
@@ -149,7 +143,6 @@ def build_engine(source, collection: CollectionResult,
                  sinks: tuple[AlertSink, ...] = (), bucket_hours: float = 1.0,
                  cache_entries: int = 512, max_batch: int = 64,
                  history_cutoff: float | None = None,
-                 detector_threshold: float | None = None,
                  store=None) -> StreamEngine:
     """Wire a stream engine from the offline pipeline's artefacts.
 
@@ -171,9 +164,7 @@ def build_engine(source, collection: CollectionResult,
             predictor, source, collection.dataset
         )
     stats = ServiceStats()
-    detector, sessionizer = detector_and_sessionizer(
-        source, collection, stats, detector_threshold=detector_threshold,
-    )
+    detector, sessionizer = detector_and_sessionizer(source, collection, stats)
     service = PredictionService(
         predictor, bucket_hours=bucket_hours, cache_entries=cache_entries,
         history_cutoff=history_cutoff, stats=stats, store=store,

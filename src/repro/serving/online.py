@@ -4,8 +4,10 @@ The offline pipeline (§3.2) scans the full corpus: filter → classify →
 sort → group into 24h-gap sessions → extract samples.  Streaming cannot
 re-scan history, so this module maintains the same state *incrementally*:
 
-* :class:`OnlineDetector` applies the fitted keyword filter + classifier to
-  one message at a time;
+* :class:`OnlineDetector` applies the fitted keyword filter + RF to one
+  message at a time.  It scores the message alone, as a one-document
+  TF-IDF row walked down the forest's flat node lists without scipy, to
+  the offline batch score's exact bits, so both flag the same messages;
 * :class:`OnlineSessionizer` keeps one open session per channel, closing it
   when a message arrives more than ``gap_hours`` after the previous one,
   and parses exchange/pair/release information as messages arrive.
@@ -101,36 +103,38 @@ class Announcement:
 
 
 class OnlineDetector:
-    """Per-message §3.2 detection with a fitted filter + classifier."""
+    """Per-message §3.2 detection: the fitted keyword filter, then the RF
+    at :data:`DETECTION_THRESHOLD`, the cut-off the offline pipeline uses.
+
+    Each message that passes the filter is scored alone with
+    :meth:`PumpMessageDetector.predict_proba_one`, which needs no scipy
+    and gives the offline batch score's exact bits.
+    """
 
     def __init__(self, keyword_filter: KeywordFilter,
                  detector: PumpMessageDetector,
-                 threshold: float = DETECTION_THRESHOLD,
                  stats: ServiceStats | None = None):
         self.keyword_filter = keyword_filter
         self.detector = detector
-        self.threshold = threshold
         self.stats = stats or ServiceStats()
 
     @classmethod
-    def from_detection(cls, detection, model: str = "rf",
-                       threshold: float = DETECTION_THRESHOLD,
+    def from_detection(cls, detection,
                        stats: ServiceStats | None = None) -> "OnlineDetector":
         """Build from a :class:`DetectionOutcome` that kept its artefacts."""
-        if detection.keyword_filter is None or model not in detection.detectors:
+        if detection.keyword_filter is None or "rf" not in detection.detectors:
             raise ValueError(
                 "DetectionOutcome carries no fitted artefacts; re-run "
                 "run_detection_pipeline() from this version of the code"
             )
-        return cls(detection.keyword_filter, detection.detectors[model],
-                   threshold=threshold, stats=stats)
+        return cls(detection.keyword_filter, detection.detectors["rf"],
+                   stats=stats)
 
     def is_pump(self, message: Message) -> bool:
         """Classify one message as it arrives (no ground-truth access)."""
         if not self.keyword_filter.matches(message.text):
             return False
-        probability = float(self.detector.predict_proba([message.text])[0])
-        if probability < self.threshold:
+        if self.detector.predict_proba_one(message.text) < DETECTION_THRESHOLD:
             return False
         self.stats.pump_messages += 1
         return True

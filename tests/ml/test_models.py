@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml import (
     DecisionTreeClassifier,
@@ -102,11 +104,22 @@ class TestDecisionTree:
         # Route all training rows; every leaf must hold >= 10 of them.
         counts = {}
         for row in x:
-            node = tree._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            counts[id(node)] = counts.get(id(node), 0) + 1
+            node = 0
+            while tree.feature_[node] >= 0:
+                if row[tree.feature_[node]] <= tree.threshold_[node]:
+                    node = tree.left_[node]
+                else:
+                    node = tree.right_[node]
+            counts[node] = counts.get(node, 0) + 1
         assert min(counts.values()) >= 10
+
+    def test_rejects_input_of_wrong_width(self, rng):
+        x, y = make_blobs(rng)
+        tree = DecisionTreeClassifier(max_depth=3).fit(x, y)
+        with pytest.raises(ValueError, match=r"4 features.*\(5, 3\)"):
+            tree.predict_proba(x[:5, :3])
+        with pytest.raises(ValueError, match=r"4 features.*\(4,\)"):
+            tree.predict_proba(x[0])
 
 
 class TestRandomForest:
@@ -126,7 +139,7 @@ class TestRandomForest:
         x, y = make_blobs(rng)
         f1 = RandomForestClassifier(n_estimators=5, seed=42).fit(x, y)
         f2 = RandomForestClassifier(n_estimators=5, seed=42).fit(x, y)
-        assert np.allclose(f1.predict_proba(x), f2.predict_proba(x))
+        assert np.array_equal(f1.predict_proba(x), f2.predict_proba(x))
 
     def test_feature_importances_sum_to_one(self, rng):
         x, y = make_blobs(rng)
@@ -144,3 +157,45 @@ class TestRandomForest:
     def test_unfitted_raises(self, rng):
         with pytest.raises(RuntimeError):
             RandomForestClassifier().predict_proba(rng.normal(size=(2, 2)))
+
+    def test_rejects_input_of_wrong_width(self, rng):
+        x, y = make_blobs(rng)
+        forest = RandomForestClassifier(n_estimators=3, seed=0).fit(x, y)
+        with pytest.raises(ValueError, match=r"4 features.*\(5, 3\)"):
+            forest.predict_proba(x[:5, :3])
+        with pytest.raises(ValueError, match=r"4 features.*\(4,\)"):
+            forest.predict_proba(x[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_features=st.integers(min_value=1, max_value=6),
+           n_estimators=st.integers(min_value=1, max_value=6))
+    def test_property_one_row_score_equals_batch(self, seed, n_features,
+                                                 n_estimators):
+        """The scalar walk over a sparse row gives the batch score's bits,
+        also for values that sit exactly on a split threshold."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(120, n_features)) * (rng.random((120, n_features)) < 0.6)
+        y = (x.sum(axis=1) + rng.normal(scale=0.5, size=120) > 0).astype(float)
+        forest = RandomForestClassifier(
+            n_estimators=n_estimators, max_depth=8, min_samples_leaf=1,
+            seed=int(rng.integers(1000)),
+        ).fit(x, y)
+        # Per column: 0.0 (absent from the sparse row), a split threshold
+        # of that column, or a fresh draw.
+        splits = [[] for _ in range(n_features)]
+        for tree in forest.trees_:
+            for column, threshold in zip(tree.feature_, tree.threshold_):
+                if column >= 0:
+                    splits[column].append(threshold)
+        probes = rng.normal(size=(60, n_features))
+        kind = rng.integers(3, size=probes.shape)
+        probes[kind == 0] = 0.0
+        for column, thresholds in enumerate(splits):
+            on_split = np.flatnonzero(kind[:, column] == 1)
+            if thresholds and len(on_split):
+                probes[on_split, column] = rng.choice(thresholds, size=len(on_split))
+        batch = forest.predict_proba(probes)
+        for row, expected in zip(probes.tolist(), batch.tolist()):
+            sparse_row = {c: v for c, v in enumerate(row) if v != 0.0}
+            assert forest.predict_proba_one(sparse_row) == expected

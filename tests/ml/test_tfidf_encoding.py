@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ml import MeanEncoder, MinMaxScaler, StandardScaler, TfidfVectorizer
@@ -63,6 +63,32 @@ class TestTfidf:
         vec = TfidfVectorizer().fit(["b a", "b c"])
         names = vec.get_feature_names()
         assert names[vec.vocabulary_["b"]] == "b"
+
+    VOCABULARY = ["pump", "coin", "binance", "target", "buy", "hold", "moon",
+                  "signal", "btc", "eth", "now", "soon"]
+    DOCUMENTS = st.lists(
+        st.sampled_from(VOCABULARY + ["oov", "zzz", "unseen"]), max_size=30,
+    ).map(" ".join)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=st.lists(DOCUMENTS, min_size=1, max_size=12),
+           documents=st.lists(DOCUMENTS, min_size=1, max_size=6))
+    @example(corpus=["pump coin", "hold"], documents=[
+        "", "oov zzz", "pump pump pump coin",
+        "pump coin binance target buy hold moon signal btc eth now soon",
+    ])
+    def test_property_one_document_row_equals_transform(self, corpus, documents):
+        """``transform_one`` has ``transform``'s bits: empty and
+        out-of-vocabulary documents, repeated tokens, and rows of 8 or
+        more terms, where numpy's reduction unrolls."""
+        vec = TfidfVectorizer().fit(corpus)
+        for document in documents:
+            expected = vec.transform([document]).toarray()[0]
+            row = vec.transform_one(document)
+            assert sorted(row) == np.flatnonzero(expected).tolist()
+            dense = np.zeros(len(vec.vocabulary_))
+            dense[list(row)] = list(row.values())
+            assert dense.tobytes() == expected.tobytes()
 
 
 class TestMeanEncoder:

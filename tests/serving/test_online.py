@@ -1,9 +1,11 @@
 """Incremental detection and sessionization."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.data import SESSION_GAP_HOURS, sessionize
+from repro.data import DETECTION_THRESHOLD, SESSION_GAP_HOURS, sessionize
 from repro.serving import OnlineDetector, OnlineSessionizer, ServiceStats
 from repro.types import Message
 from repro.text import KeywordFilter
@@ -117,15 +119,15 @@ class TestOnlineSessionizer:
 
 
 class _ConstantDetector:
-    """predict_proba stub returning a fixed probability."""
+    """One-message scoring stub returning a fixed probability."""
 
     def __init__(self, probability):
         self.probability = probability
         self.calls = 0
 
-    def predict_proba(self, texts):
+    def predict_proba_one(self, text):
         self.calls += 1
-        return np.full(len(texts), self.probability)
+        return self.probability
 
 
 class TestOnlineDetector:
@@ -141,9 +143,12 @@ class TestOnlineDetector:
         assert model.calls == 1
 
     def test_threshold(self):
-        detector = OnlineDetector(self._filter(), _ConstantDetector(0.15),
-                                  threshold=0.2)
-        assert not detector.is_pump(_msg(0, 1, 0.0, "huge pump incoming"))
+        """The online cut-off is the offline pipeline's constant."""
+        below = OnlineDetector(self._filter(),
+                               _ConstantDetector(np.nextafter(DETECTION_THRESHOLD, 0)))
+        at = OnlineDetector(self._filter(), _ConstantDetector(DETECTION_THRESHOLD))
+        assert not below.is_pump(_msg(0, 1, 0.0, "huge pump incoming"))
+        assert at.is_pump(_msg(0, 1, 0.0, "huge pump incoming"))
 
     def test_stats_count_flagged(self):
         stats = ServiceStats()
@@ -153,18 +158,36 @@ class TestOnlineDetector:
         detector.is_pump(_msg(1, 1, 0.0, "no keywords here at all"))
         assert stats.pump_messages == 1
 
-    def test_matches_offline_detection(self, tiny_collection):
-        """Per-message online classification equals the offline batch run."""
+    def test_matches_offline_detection(self, tiny_world, tiny_collection):
+        """Every message past the keyword filter gets the offline verdict
+        online, from a score with the offline batch score's bits."""
         detection = tiny_collection.detection
         detector = OnlineDetector.from_detection(detection)
-        detected_ids = {m.message_id for m in detection.detected}
-        explored = detection.n_total
-        assert explored > 0
-        # A slice is enough: each message's probability is independent.
-        sample = detection.detected[:40]
-        for message in sample:
-            assert detector.is_pump(message), message.text
-        assert all(m.message_id in detected_ids for m in sample)
+        explored = set(tiny_collection.exploration.explored_ids)
+        filtered = [m for m in tiny_world.messages
+                    if m.channel_id in explored
+                    and detection.keyword_filter.matches(m.text)]
+        assert len(filtered) == detection.n_filtered
+        flagged = {m.message_id for m in filtered if detector.is_pump(m)}
+        assert flagged == {m.message_id for m in detection.detected}
+        rf = detection.detectors["rf"]
+        texts = [m.text for m in filtered]
+        batch = rf.predict_proba(texts)
+        assert [rf.predict_proba_one(text) for text in texts] == batch.tolist()
+
+    def test_one_message_score_needs_no_scipy(self, tiny_collection,
+                                              monkeypatch):
+        """A serving process without scipy can still detect."""
+        detection = tiny_collection.detection
+        detector = OnlineDetector.from_detection(detection)
+        messages = detection.detected[:20]
+        expected = detection.detectors["rf"].predict_proba(
+            [m.text for m in messages]).tolist()
+        # ``from scipy import sparse`` now raises ImportError.
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        rf = detection.detectors["rf"]
+        assert [rf.predict_proba_one(m.text) for m in messages] == expected
+        assert all(detector.is_pump(m) for m in messages)
 
     def test_from_detection_requires_artefacts(self, tiny_collection):
         import dataclasses
