@@ -6,9 +6,6 @@ even layers (serving, features, core) that are backend-agnostic and must
 also run against recorded real-world dumps (:mod:`repro.sources`).  They
 are plain domain facts, not simulation parameters, so they live here with
 no dependency on any backend.
-
-``repro.simulation.coins`` re-exports both names for backward
-compatibility.
 """
 
 from __future__ import annotations

@@ -18,17 +18,36 @@ the paper's P&D anatomy (§2, Figure 4):
 
 Volume follows the same structure with a much larger pump spike and a
 "frequent trading onset" ~57 hours before the pump (Figure 4b).
+
+Each noise draw is a hashed normal keyed ``(seed, stream, coin, [octave,]
+hour or block)``.  The simulator hashes every per-coin prefix once, at
+construction: eleven uint64 arrays of ``n_coins`` states (price, volume,
+six price octaves, three volume bursts).  A draw gathers the states of the
+queried coins and extends them by the hour or block key
+(:func:`~repro.utils.hashrng.extend_hash`), one mix per element.  Octave
+and burst noise interpolate between hashed block edges; where the query
+grid is dense in hours (a candidates x 72 h window) both edges come from
+one table of the distinct blocks per coin.  The values are bit-for-bit the
+full-key hashes, and nothing is precomputed over the horizon or kept
+between calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.simulation.coins import CoinUniverse
-from repro.utils.hashrng import hash_normal, hash_uniform
+from repro.sources.base import SourceDataError
+from repro.utils.hashrng import (
+    extend_hash,
+    hash_normal,
+    hash_uint64,
+    normal_from_bits,
+)
 
 # Stream tags so the same (coin, hour) key yields independent noises.
 _PRICE_STREAM = 1
@@ -89,48 +108,51 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + within
 
 
-class _OverlayIndex:
-    """Flattened pump-profile table for vectorized overlay evaluation.
+def _edge_normals(keys: np.ndarray, block: np.ndarray):
+    """Normals keyed by ``keys`` extended with ``block`` and ``block + 1``.
 
-    Profiles are stored per coin in registration order; VIP bumps per profile
-    in declaration order.  Keeping those orders lets the vectorized path
-    accumulate contributions with ``np.add.at`` in exactly the sequence the
-    per-coin loop used, so results are bit-for-bit identical.
+    ``keys`` are per-element prefix states (one per queried coin) that
+    broadcast against ``block``.  On a query dense in blocks, such as a
+    candidates x 72 h grid, one table of each key's blocks ``lo .. hi + 1``
+    serves both interpolation edges through two gathers; it is built only
+    when it holds no more draws than the two edge arrays would.  A sparse
+    query (flat per-element times spanning years) hashes both edges
+    directly.  Either way each value is the same full-key hash.
+    """
+    cells = math.prod(np.broadcast_shapes(keys.shape, block.shape))
+    if cells:
+        lo = int(block.min())
+        n = int(block.max()) - lo + 2
+        if keys.size * n <= 2 * cells:
+            table = normal_from_bits(
+                extend_hash(keys[..., None], np.arange(lo, lo + n))
+            ).reshape(-1)
+            rows = np.arange(0, keys.size * n, n).reshape(keys.shape)
+            at = rows + (block - lo)
+            return table[at], table[at + 1]
+    return (normal_from_bits(extend_hash(keys, block)),
+            normal_from_bits(extend_hash(keys, block + 1)))
+
+
+class _ProfileTable:
+    """Per-coin profile lists flattened for vectorized overlay evaluation.
+
+    Coin ``c``'s profiles are the flat rows ``start[c] .. start[c] +
+    count[c]`` in registration order, and ``time`` holds each row's pump
+    hour.  Keeping that order lets an overlay accumulate with
+    ``np.add.at`` in exactly the sequence a per-coin loop would, so results
+    are bit-for-bit identical to looping coins and profiles.
     """
 
-    def __init__(self, n_coins: int, profiles: dict[int, list[PumpProfile]]):
+    def __init__(self, n_coins: int, by_coin: dict[int, list]):
         self.count = np.zeros(n_coins, dtype=np.int64)
         self.start = np.zeros(n_coins, dtype=np.int64)
-        times, accum, peak, settle, tau, volpeak = [], [], [], [], [], []
-        vip_start, vip_count, vip_time, vip_size = [], [], [], []
-        pos = vpos = 0
-        for coin in sorted(profiles):
-            plist = profiles[coin]
-            self.start[coin] = pos
-            self.count[coin] = len(plist)
-            pos += len(plist)
-            for p in plist:
-                times.append(p.time)
-                accum.append(p.accum_log)
-                peak.append(p.peak_log)
-                settle.append(p.settle_log)
-                tau.append(p.dump_tau)
-                volpeak.append(p.volume_peak_log)
-                vip_start.append(vpos)
-                vip_count.append(len(p.vip_times))
-                vip_time.extend(p.vip_times)
-                vip_size.extend(p.vip_sizes)
-                vpos += len(p.vip_times)
-        self.time = np.asarray(times, dtype=np.float64)
-        self.accum = np.asarray(accum, dtype=np.float64)
-        self.peak = np.asarray(peak, dtype=np.float64)
-        self.settle = np.asarray(settle, dtype=np.float64)
-        self.tau = np.asarray(tau, dtype=np.float64)
-        self.volpeak = np.asarray(volpeak, dtype=np.float64)
-        self.vip_start = np.asarray(vip_start, dtype=np.int64)
-        self.vip_count = np.asarray(vip_count, dtype=np.int64)
-        self.vip_time = np.asarray(vip_time, dtype=np.float64)
-        self.vip_size = np.asarray(vip_size, dtype=np.float64)
+        self.rows: list = []
+        for coin in sorted(by_coin):
+            self.start[coin] = len(self.rows)
+            self.count[coin] = len(by_coin[coin])
+            self.rows.extend(by_coin[coin])
+        self.time = np.array([p.time for p in self.rows], dtype=np.float64)
 
     def pairs(self, coin_ids: np.ndarray, hours: np.ndarray):
         """Expand query elements into (element, profile) pairs.
@@ -138,7 +160,7 @@ class _OverlayIndex:
         Returns ``(sel, rep, prof, d)`` — the elements that have any profile,
         the element index of each pair, the flat profile index of each pair,
         and the hour offset from the pump — or ``None`` when no element's
-        coin has registered events.
+        coin has registered profiles.
         """
         counts = self.count[coin_ids]
         sel = np.flatnonzero(counts)
@@ -150,22 +172,43 @@ class _OverlayIndex:
         d = hours[rep] - self.time[prof]
         return sel, rep, prof, d
 
+
+class _OverlayIndex(_ProfileTable):
+    """Pump-profile table; VIP bumps per profile in declaration order."""
+
+    def __init__(self, n_coins: int, profiles: dict[int, list[PumpProfile]]):
+        super().__init__(n_coins, profiles)
+        rows = self.rows
+        self.accum = np.array([p.accum_log for p in rows], dtype=np.float64)
+        self.peak = np.array([p.peak_log for p in rows], dtype=np.float64)
+        self.settle = np.array([p.settle_log for p in rows], dtype=np.float64)
+        self.tau = np.array([p.dump_tau for p in rows], dtype=np.float64)
+        self.volpeak = np.array([p.volume_peak_log for p in rows],
+                                dtype=np.float64)
+        self.vip_count = np.array([len(p.vip_times) for p in rows],
+                                  dtype=np.int64)
+        self.vip_start = np.cumsum(self.vip_count) - self.vip_count
+        self.vip_time = np.array([t for p in rows for t in p.vip_times],
+                                 dtype=np.float64)
+        self.vip_size = np.array([v for p in rows for v in p.vip_sizes],
+                                 dtype=np.float64)
+
     def vip_sum(self, prof: np.ndarray, d: np.ndarray,
                 width: float, scale: float) -> np.ndarray:
-        """Per-pair sum of pre-pump VIP bumps, accumulated in VIP order."""
+        """Per-pair sum of pre-pump VIP bumps, accumulated in VIP order.
+
+        Only pairs before their pump (``d < 0``) are expanded; all VIPs of
+        a pair share its ``d``, and every other pair keeps its ``+0.0``.
+        """
         vip = np.zeros_like(d)
         vcount = self.vip_count[prof]
-        vsel = np.flatnonzero(vcount)
+        vsel = np.flatnonzero((d < 0) & (vcount > 0))
         if len(vsel):
             vc = vcount[vsel]
             vrep = np.repeat(vsel, vc)
             vidx = _concat_ranges(self.vip_start[prof[vsel]], vc)
-            dv = d[vrep]
-            bump = np.where(
-                dv < 0,
-                self.vip_size[vidx] * scale
-                * np.exp(-0.5 * ((dv - self.vip_time[vidx]) / width) ** 2),
-                0.0,
+            bump = self.vip_size[vidx] * scale * np.exp(
+                -0.5 * ((d[vrep] - self.vip_time[vidx]) / width) ** 2
             )
             np.add.at(vip, vrep, bump)
         return vip
@@ -194,6 +237,17 @@ class MarketSimulator:
         # from being a trivial giveaway.
         self._volume_base = 0.72 * np.log(universe.market_cap) - 6.0
         self._volume_sigma = rng.uniform(0.4, 0.8, n)
+        # Per-coin hash states of every coin-keyed noise stream (see the
+        # module docstring); the parameter RNG above is not consumed.
+        coins = np.arange(n, dtype=np.int64)
+        self._price_keys = hash_uint64(self.seed, _PRICE_STREAM, coins)
+        self._volume_keys = hash_uint64(self.seed, _VOLUME_STREAM, coins)
+        self._octave_keys = [hash_uint64(self.seed, _OCTAVE_STREAM, coins, j)
+                             for j in range(len(_OCTAVE_PERIODS))]
+        self._burst_keys = [
+            hash_uint64(self.seed, _VOLUME_BURST_STREAM, coins, j)
+            for j in range(len(_VOLUME_BURST_PERIODS))
+        ]
         self._profiles: dict[int, list[PumpProfile]] = {}
         self._overlay_index: _OverlayIndex | None = None
         # Accumulation/ignition phase overlays (repro.simulation.phases);
@@ -233,6 +287,26 @@ class MarketSimulator:
     def profiles_for(self, coin_id: int) -> list[PumpProfile]:
         """Registered pump profiles of one coin (possibly empty)."""
         return self._profiles.get(int(coin_id), [])
+
+    def _coin_index(self, coin_ids) -> np.ndarray:
+        """``coin_ids`` as int64, refusing ids outside the universe."""
+        coin_ids = np.asarray(coin_ids, dtype=np.int64)
+        n = self.universe.n_coins
+        if coin_ids.size and (coin_ids.min() < 0 or coin_ids.max() >= n):
+            raise SourceDataError(
+                f"candle query references coin ids outside the catalog "
+                f"(0..{n - 1})"
+            )
+        return coin_ids
+
+    def _interpolated(self, keys: np.ndarray, coin_ids: np.ndarray,
+                      hours: np.ndarray, period: float) -> np.ndarray:
+        """Smoothstep between hashed per-block normals of one stream."""
+        block = np.floor(hours / period).astype(np.int64)
+        frac = hours / period - block
+        w = frac * frac * (3.0 - 2.0 * frac)  # smoothstep
+        left, right = _edge_normals(keys[coin_ids], block)
+        return (1.0 - w) * left + w * right
 
     # -- price ---------------------------------------------------------------
 
@@ -289,16 +363,25 @@ class MarketSimulator:
         giving a continuous path whose x-hour increments have standard
         deviation roughly ``_OCTAVE_SIGMA * sqrt(x)``.
         """
-        out = np.zeros(np.broadcast(coin_ids, hours).shape)
-        for j, period in enumerate(_OCTAVE_PERIODS):
-            block = np.floor(hours / period).astype(np.int64)
-            frac = hours / period - block
-            w = frac * frac * (3.0 - 2.0 * frac)  # smoothstep
-            left = hash_normal(self.seed, _OCTAVE_STREAM, coin_ids, j, block)
-            right = hash_normal(self.seed, _OCTAVE_STREAM, coin_ids, j, block + 1)
+        out = np.zeros(np.broadcast_shapes(coin_ids.shape, hours.shape))
+        for keys, period in zip(self._octave_keys, _OCTAVE_PERIODS):
             amplitude = _OCTAVE_SIGMA * np.sqrt(period)
-            out = out + amplitude * ((1.0 - w) * left + w * right)
+            out = out + amplitude * self._interpolated(keys, coin_ids, hours,
+                                                       period)
         return out * self._octave_scale[coin_ids]
+
+    def price_noise(self, coin_ids: np.ndarray, hours: np.ndarray):
+        """Idiosyncratic log-price noise as ``(hourly, octaves)``.
+
+        ``log_close`` adds the two terms in turn; the phase overlay's quiet
+        squeeze damps their sum.  ``coin_ids`` (int64) and ``hours``
+        broadcast together.
+        """
+        hour_idx = np.floor(hours).astype(np.int64)
+        hourly = self._sigma[coin_ids] * normal_from_bits(
+            extend_hash(self._price_keys[coin_ids], hour_idx)
+        )
+        return hourly, self._octave_noise(coin_ids, hours)
 
     def market_mood(self, hours) -> np.ndarray:
         """Latent investor-mood process in roughly [-2, 2].
@@ -318,18 +401,11 @@ class MarketSimulator:
 
     def log_close(self, coin_ids, hours) -> np.ndarray:
         """Log close price; ``coin_ids`` and ``hours`` broadcast together."""
-        coin_ids = np.asarray(coin_ids, dtype=np.int64)
+        coin_ids = self._coin_index(coin_ids)
         hours = np.asarray(hours, dtype=float)
-        coin_ids, hours = np.broadcast_arrays(coin_ids, hours)
-        hour_idx = np.floor(hours).astype(np.int64)
-        noise = self._sigma[coin_ids] * hash_normal(
-            self.seed, _PRICE_STREAM, coin_ids, hour_idx
-        )
+        noise, octaves = self.price_noise(coin_ids, hours)
         base = np.log(self.universe.base_price[coin_ids])
-        out = (
-            base + self._seasonal(coin_ids, hours) + noise
-            + self._octave_noise(coin_ids, hours)
-        )
+        out = base + self._seasonal(coin_ids, hours) + noise + octaves
         # Delayed mood impact on BTC (coin 0) for the forecasting task.
         btc_mask = coin_ids == 0
         if btc_mask.any():
@@ -339,16 +415,16 @@ class MarketSimulator:
                 0.0,
             )
         # Apply event overlays only for coins that have any.
-        if self._profiles:
+        if self._profiles or self._phases is not None:
+            flat_coins, flat_hours = (
+                a.reshape(-1) for a in np.broadcast_arrays(coin_ids, hours)
+            )
             flat_out = np.ascontiguousarray(out).reshape(-1)
-            self._add_price_overlay(flat_out, coin_ids.reshape(-1),
-                                    hours.reshape(-1))
-            out = flat_out.reshape(out.shape)
-        if self._phases is not None:
-            flat_out = np.ascontiguousarray(out).reshape(-1)
-            self._phases.add_price_overlay(self, flat_out,
-                                           coin_ids.reshape(-1),
-                                           hours.reshape(-1))
+            if self._profiles:
+                self._add_price_overlay(flat_out, flat_coins, flat_hours)
+            if self._phases is not None:
+                self._phases.add_price_overlay(self, flat_out, flat_coins,
+                                               flat_hours)
             out = flat_out.reshape(out.shape)
         return out
 
@@ -394,34 +470,30 @@ class MarketSimulator:
 
     def hourly_volume(self, coin_ids, hours) -> np.ndarray:
         """Traded volume (pairing-coin units) during the hour ending at ``h``."""
-        coin_ids = np.asarray(coin_ids, dtype=np.int64)
+        coin_ids = self._coin_index(coin_ids)
         hours = np.asarray(hours, dtype=float)
-        coin_ids, hours = np.broadcast_arrays(coin_ids, hours)
         hour_idx = np.floor(hours).astype(np.int64)
-        noise = self._volume_sigma[coin_ids] * hash_normal(
-            self.seed, _VOLUME_STREAM, coin_ids, hour_idx
+        noise = self._volume_sigma[coin_ids] * normal_from_bits(
+            extend_hash(self._volume_keys[coin_ids], hour_idx)
         )
-        bursts = np.zeros(np.broadcast(coin_ids, hours).shape)
-        for j, period in enumerate(_VOLUME_BURST_PERIODS):
-            block = np.floor(hours / period).astype(np.int64)
-            frac = hours / period - block
-            w = frac * frac * (3.0 - 2.0 * frac)
-            left = hash_normal(self.seed, _VOLUME_BURST_STREAM, coin_ids, j, block)
-            right = hash_normal(self.seed, _VOLUME_BURST_STREAM, coin_ids, j, block + 1)
-            bursts = bursts + _VOLUME_BURST_AMPLITUDE * ((1 - w) * left + w * right)
+        bursts = np.zeros(np.broadcast_shapes(coin_ids.shape, hours.shape))
+        for keys, period in zip(self._burst_keys, _VOLUME_BURST_PERIODS):
+            bursts = bursts + _VOLUME_BURST_AMPLITUDE * self._interpolated(
+                keys, coin_ids, hours, period
+            )
         # Mild time-of-day seasonality (UTC evening is busier).
         tod = 0.25 * np.sin(2 * np.pi * (hours % 24) / 24.0 - 1.2)
         log_volume = self._volume_base[coin_ids] + tod + noise + bursts
-        if self._profiles:
+        if self._profiles or self._phases is not None:
+            flat_coins, flat_hours = (
+                a.reshape(-1) for a in np.broadcast_arrays(coin_ids, hours)
+            )
             flat = np.ascontiguousarray(log_volume).reshape(-1)
-            self._add_volume_overlay(flat, coin_ids.reshape(-1),
-                                     hours.reshape(-1))
-            log_volume = flat.reshape(log_volume.shape)
-        if self._phases is not None:
-            flat = np.ascontiguousarray(log_volume).reshape(-1)
-            self._phases.add_volume_overlay(self, flat,
-                                            coin_ids.reshape(-1),
-                                            hours.reshape(-1))
+            if self._profiles:
+                self._add_volume_overlay(flat, flat_coins, flat_hours)
+            if self._phases is not None:
+                self._phases.add_volume_overlay(self, flat, flat_coins,
+                                                flat_hours)
             log_volume = flat.reshape(log_volume.shape)
         return np.exp(log_volume)
 
@@ -440,10 +512,7 @@ class MarketSimulator:
         coin_ids = np.asarray(coin_ids, dtype=np.int64)
         offsets = np.arange(1, max_hours + 1, dtype=float)  # hours before pump
         grid_hours = pump_hour - offsets  # (max_hours,)
-        return self.hourly_volume(
-            coin_ids[:, None],
-            np.broadcast_to(grid_hours, (len(coin_ids), max_hours)),
-        )
+        return self.hourly_volume(coin_ids[:, None], grid_hours[None, :])
 
     def typical_trade_size(self, coin_ids) -> np.ndarray:
         """Per-coin typical trade size used by the trade-count proxy."""

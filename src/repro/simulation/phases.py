@@ -31,8 +31,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.markets import PAIR_SYMBOLS
-from repro.simulation.market import _PRICE_STREAM
-from repro.utils.hashrng import hash_normal, hash_uniform
+from repro.simulation.market import _ProfileTable
+from repro.utils.hashrng import hash_uniform
 
 #: Hash stream tag for phase parameters (market streams use 1..7).
 _PHASE_STREAM = 11
@@ -100,25 +100,15 @@ def phase_profiles_for(events: Iterable, n_coins: int,
     return profiles
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat gather indices for integer ranges (see market._concat_ranges)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(starts, counts) + within
-
-
 def _smoothstep(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, 0.0, 1.0)
     return x * x * (3.0 - 2.0 * x)
 
 
-class PhaseIndex:
+class PhaseIndex(_ProfileTable):
     """Flattened phase-profile table for vectorized overlay evaluation.
 
-    Mirrors the market's ``_OverlayIndex`` pair-expansion so phase terms
+    Shares the market's per-coin layout and pair expansion, so phase terms
     accumulate with ``np.add.at`` in registration order — deterministic
     regardless of query shape.
     """
@@ -127,15 +117,8 @@ class PhaseIndex:
         by_coin: dict[int, list[PhaseProfile]] = {}
         for profile in profiles:
             by_coin.setdefault(profile.coin_id, []).append(profile)
-        self.count = np.zeros(n_coins, dtype=np.int64)
-        self.start = np.zeros(n_coins, dtype=np.int64)
-        rows: list[PhaseProfile] = []
-        for coin in sorted(by_coin):
-            plist = by_coin[coin]
-            self.start[coin] = len(rows)
-            self.count[coin] = len(plist)
-            rows.extend(plist)
-        self.time = np.array([p.time for p in rows], dtype=np.float64)
+        super().__init__(n_coins, by_coin)
+        rows = self.rows
         self.runup = np.array([p.runup_log for p in rows], dtype=np.float64)
         self.avol = np.array([p.accum_volume_log for p in rows],
                              dtype=np.float64)
@@ -144,21 +127,10 @@ class PhaseIndex:
         self.imb = np.array([p.imbalance_log for p in rows], dtype=np.float64)
         self.damp = np.array([p.noise_damp for p in rows], dtype=np.float64)
 
-    def _pairs(self, coin_ids: np.ndarray, hours: np.ndarray):
-        counts = self.count[coin_ids]
-        sel = np.flatnonzero(counts)
-        if len(sel) == 0:
-            return None
-        c = counts[sel]
-        rep = np.repeat(sel, c)
-        prof = _concat_ranges(self.start[coin_ids[sel]], c)
-        d = hours[rep] - self.time[prof]
-        return sel, rep, prof, d
-
     def add_price_overlay(self, market, out: np.ndarray,
                           coin_ids: np.ndarray, hours: np.ndarray) -> None:
         """Accumulation run-up and pre-ignition noise damping (flat arrays)."""
-        pairs = self._pairs(coin_ids, hours)
+        pairs = self.pairs(coin_ids, hours)
         if pairs is None:
             return
         sel, rep, prof, d = pairs
@@ -169,18 +141,15 @@ class PhaseIndex:
         term = np.where(d < 0, ramp,
                         self.runup[prof] * np.exp(-np.maximum(d, 0.0) / 6.0))
         # Quiet squeeze: remove a fraction of this hour's idiosyncratic
-        # noise (recomputed from the same hash streams the base price
-        # used) inside the compression window only, so the recent-window
-        # return std drops below the 72 h baseline.
+        # noise (the same draws the base price used) inside the
+        # compression window only, so the recent-window return std drops
+        # below the 72 h baseline.
         squeeze = (d >= COMPRESSION_START) & (d < 0)
         if squeeze.any():
             q = np.flatnonzero(squeeze)
-            qc = coin_ids[rep[q]]
-            qh = hours[rep[q]]
-            hour_idx = np.floor(qh).astype(np.int64)
-            noise = market._sigma[qc] * hash_normal(
-                market.seed, _PRICE_STREAM, qc, hour_idx
-            ) + market._octave_noise(qc, qh)
+            hourly, octaves = market.price_noise(coin_ids[rep[q]],
+                                                 hours[rep[q]])
+            noise = hourly + octaves
             damped = np.zeros_like(d)
             damped[q] = -self.damp[prof[q]] * noise
             term = term + damped
@@ -191,7 +160,7 @@ class PhaseIndex:
     def add_volume_overlay(self, market, out: np.ndarray,
                            coin_ids: np.ndarray, hours: np.ndarray) -> None:
         """Accumulation lift, buy-side imbalance and ignition surge."""
-        pairs = self._pairs(coin_ids, hours)
+        pairs = self.pairs(coin_ids, hours)
         if pairs is None:
             return
         sel, rep, prof, d = pairs

@@ -4,8 +4,7 @@
 Telegram generator, a recorded CSV/JSONL dump (:mod:`repro.sources`) or a
 future live connector.  It used to be defined inside
 ``repro.simulation.messages``, which forced the streaming service to
-import the simulator just to type its inputs; it now lives here, and the
-simulation module re-exports it for backward compatibility.
+import the simulator just to type its inputs; it now lives here.
 """
 
 from __future__ import annotations

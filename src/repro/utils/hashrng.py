@@ -7,6 +7,12 @@ generator cannot provide that; a counter-based hash can.  We implement a
 vectorised SplitMix64-style mixer over ``uint64`` keys: any tuple of integer
 arrays is folded into a single key, mixed, and mapped to uniforms or normals.
 
+The fold is sequential, so a hash of a key prefix is itself a state that
+later keys extend: ``extend_hash(hash_uint64(*a), *b) == hash_uint64(*a, *b)``
+bit for bit.  A caller that draws many values under one fixed prefix (one
+stream of one coin) can hash the prefix once and pay one mix per element
+for the rest.
+
 The mixer is the finalizer from SplitMix64 (Steele et al., "Fast splittable
 pseudorandom number generators"), which passes BigCrush as a 64-bit mixer.
 """
@@ -19,9 +25,8 @@ import numpy as np
 def _ndtri():
     """Load ``scipy.special.ndtri`` on first use.
 
-    Only :func:`hash_normal` needs the inverse normal CDF; the uniform
-    and integer hashes (which the serving stack's cache keys use) stay
-    scipy-free.
+    Only the normal draws need the inverse normal CDF; the uniform and
+    integer hashes stay scipy-free.
     """
     try:
         from scipy.special import ndtri
@@ -52,12 +57,33 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _SHIFT31)
 
 
+def extend_hash(state, *keys) -> np.ndarray:
+    """Fold more integer keys into uint64 hash states.
+
+    ``state`` is a value :func:`hash_uint64` (or this function) returned,
+    or ``0`` for the empty prefix.  Each key is mixed at its own shape and
+    broadcasts against the running state, so a per-coin state of shape
+    ``(N, 1)`` extended by hours of shape ``(1, H)`` costs one mix per cell.
+
+    >>> a, b = (7, 2), (5,)
+    >>> int(extend_hash(hash_uint64(*a), *b)) == int(hash_uint64(*a, *b))
+    True
+    """
+    acc = state
+    with np.errstate(over="ignore"):
+        for key in keys:
+            bits = np.asarray(key).astype(np.int64, copy=False).view(np.uint64)
+            acc = _splitmix64(acc ^ bits)
+    return acc
+
+
 def hash_uint64(*keys) -> np.ndarray:
     """Hash integer arrays (broadcast together) into uniform uint64 values.
 
-    Each ``key`` may be a scalar or array of integers; they are broadcast to a
-    common shape and folded sequentially through the mixer, so every distinct
-    key tuple yields an independent-looking 64-bit value.
+    Each ``key`` may be a scalar or array of integers; they are folded
+    sequentially through the mixer from a zero state (see
+    :func:`extend_hash`), so every distinct key tuple yields an
+    independent-looking 64-bit value.
 
     >>> int(hash_uint64(1, 2, 3)) == int(hash_uint64(1, 2, 3))
     True
@@ -66,30 +92,34 @@ def hash_uint64(*keys) -> np.ndarray:
     """
     if not keys:
         raise ValueError("hash_uint64 requires at least one key")
-    arrays = np.broadcast_arrays(*[np.asarray(k) for k in keys])
-    with np.errstate(over="ignore"):
-        acc = np.zeros(arrays[0].shape, dtype=np.uint64)
-        for arr in arrays:
-            acc = _splitmix64(acc ^ arr.astype(np.int64).view(np.uint64))
-    return acc
+    return extend_hash(np.uint64(0), *keys)
+
+
+def _uniform_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Map uint64 hashes to doubles in ``[0, 1)`` via their high 53 bits."""
+    return ((bits >> _SHIFT11).astype(np.float64)) * _INV_2_53
+
+
+def normal_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Map uint64 hashes to standard normals by the inverse normal CDF.
+
+    Each hash yields exactly one normal, keeping streams aligned no matter
+    how windows are sliced; ``hash_normal(*k)`` is
+    ``normal_from_bits(hash_uint64(*k))``.
+    """
+    # Keep strictly inside (0, 1) so ndtri stays finite.
+    u = np.clip(_uniform_from_bits(bits), 1e-12, 1.0 - 1e-12)
+    return _ndtri()(u)
 
 
 def hash_uniform(*keys) -> np.ndarray:
     """Deterministic uniforms in ``[0, 1)`` keyed by integer tuples."""
-    bits = hash_uint64(*keys)
-    return ((bits >> _SHIFT11).astype(np.float64)) * _INV_2_53
+    return _uniform_from_bits(hash_uint64(*keys))
 
 
 def hash_normal(*keys) -> np.ndarray:
-    """Deterministic standard normals keyed by integer tuples.
-
-    Uses the inverse normal CDF so each key consumes exactly one hash,
-    keeping streams aligned no matter how windows are sliced.
-    """
-    u = hash_uniform(*keys)
-    # Keep strictly inside (0, 1) so ndtri stays finite.
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return _ndtri()(u)
+    """Deterministic standard normals keyed by integer tuples."""
+    return normal_from_bits(hash_uint64(*keys))
 
 
 def hash_choice(n: int, *keys) -> np.ndarray:

@@ -87,7 +87,7 @@ class TestMarketBase:
         which window asked — the property motivating the hash RNG."""
         a = market.close_price(np.full(10, 7), np.arange(100.0, 110.0))
         b = market.close_price(np.full(5, 7), np.arange(105.0, 110.0))
-        assert np.allclose(a[5:], b)
+        assert np.array_equal(a[5:], b)
 
     def test_volume_positive(self, market):
         v = market.hourly_volume(np.arange(8), np.full(8, 500.0))

@@ -30,7 +30,7 @@ def test_property_window_consistency(coin, start, length, offset):
     if len(shared_a):
         idx_a = np.searchsorted(hours_a, shared_a)
         idx_b = np.searchsorted(hours_b, shared_a)
-        assert np.allclose(a[idx_a], b[idx_b])
+        assert np.array_equal(a[idx_a], b[idx_b])
 
 
 @settings(max_examples=30, deadline=None)
@@ -99,7 +99,7 @@ class TestSeedIsolation:
     def test_same_seed_reproduces(self):
         again = MarketSimulator(CoinUniverse.generate(CFG))
         hours = np.arange(1000.0, 1050.0)
-        assert np.allclose(
+        assert np.array_equal(
             MARKET.close_price(np.full(50, 5), hours),
             again.close_price(np.full(50, 5), hours),
         )

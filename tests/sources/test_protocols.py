@@ -105,3 +105,17 @@ class TestMarketParity:
             source.market.log_close(coins, hours),
             short_world.market.log_close(coins, hours),
         )
+
+    @pytest.mark.parametrize("backend", ["synthetic", "file"])
+    @pytest.mark.parametrize("query", ["log_close", "hourly_volume"])
+    def test_unknown_coin_ids_are_refused(self, short_world, dump_dir,
+                                          backend, query):
+        """Both backends refuse ids outside 0..N-1 with the same error;
+        the simulator used to answer -1 with another coin's numbers."""
+        source = as_source(short_world) if backend == "synthetic" \
+            else parse_source_spec(f"file:{dump_dir}")
+        ask = getattr(source.market, query)
+        n = source.coins.n_coins
+        for bad in (np.array([-1]), np.array([n]), np.array([[3], [n]])):
+            with pytest.raises(SourceDataError, match="outside the catalog"):
+                ask(bad, np.full(bad.shape, 500.0))

@@ -15,7 +15,37 @@ from repro.utils import (
     hash_uint64,
     to_timestamp,
 )
-from repro.utils.hashrng import hash_choice
+from repro.utils.hashrng import (
+    _splitmix64,
+    extend_hash,
+    hash_choice,
+    normal_from_bits,
+)
+
+
+def _broadcast_fold(*keys):
+    """Reference: broadcast every key to the full shape, then fold."""
+    arrays = np.broadcast_arrays(*[np.asarray(k) for k in keys])
+    with np.errstate(over="ignore"):
+        acc = np.zeros(arrays[0].shape, dtype=np.uint64)
+        for arr in arrays:
+            acc = _splitmix64(acc ^ arr.astype(np.int64).view(np.uint64))
+    return acc
+
+
+@st.composite
+def _key_tuples(draw):
+    """1-6 integer keys: scalars, (N, 1), (1, H), (N, H), (H,) and (1, 1)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    h = draw(st.integers(min_value=1, max_value=5))
+    shapes = {"col": (n, 1), "row": (1, h), "grid": (n, h), "vec": (h,),
+              "unit": (1, 1)}
+    kinds = draw(st.lists(st.sampled_from(["scalar", *shapes]),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [int(rng.integers(-2**62, 2**62)) if kind == "scalar"
+            else rng.integers(-2**62, 2**62, size=shapes[kind])
+            for kind in kinds]
 
 
 class TestHashRng:
@@ -58,6 +88,24 @@ class TestHashRng:
     def test_choice_invalid_n(self):
         with pytest.raises(ValueError):
             hash_choice(0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=_key_tuples(), data=st.data())
+    def test_property_extend_hash_continues_a_prefix(self, keys, data):
+        split = data.draw(st.integers(min_value=0, max_value=len(keys)))
+        prefix = hash_uint64(*keys[:split]) if split else np.uint64(0)
+        extended = extend_hash(prefix, *keys[split:])
+        np.testing.assert_array_equal(extended, hash_uint64(*keys))
+        np.testing.assert_array_equal(normal_from_bits(extended),
+                                      hash_normal(*keys))
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=_key_tuples())
+    def test_property_matches_broadcast_fold(self, keys):
+        out = hash_uint64(*keys)
+        expected = _broadcast_fold(*keys)
+        assert np.shape(out) == expected.shape
+        np.testing.assert_array_equal(out, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(a=st.integers(min_value=-2**40, max_value=2**40),
