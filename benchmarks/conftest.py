@@ -1,7 +1,7 @@
 """Shared fixtures for the experiment benchmarks.
 
-The synthetic world, collection pipeline and assembled features are built
-once per session (they are inputs to several tables/figures).  Scale is
+The synthetic world (and its data-source adapter), collection pipeline
+and assembled features are built once per session (they are inputs to several tables/figures).  Scale is
 controlled by ``REPRO_SCALE`` (``small`` default, ``paper`` for full size).
 """
 
@@ -13,6 +13,7 @@ from repro.core import Trainer
 from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig, Scale, get_scale
 
 
@@ -27,13 +28,18 @@ def world(config):
 
 
 @pytest.fixture(scope="session")
-def collection(world):
-    return collect(world)
+def source(world):
+    return SyntheticWorldSource(world)
 
 
 @pytest.fixture(scope="session")
-def assembled(world, collection):
-    return FeatureAssembler(world, collection.dataset).assemble()
+def collection(source):
+    return collect(source)
+
+
+@pytest.fixture(scope="session")
+def assembled(source, collection):
+    return FeatureAssembler(source, collection.dataset).assemble()
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,9 @@ from benchmarks.conftest import run_once
 from repro.features import FeatureAssembler
 
 
-def test_feature_assembly(benchmark, world, collection):
+def test_feature_assembly(benchmark, source, collection):
     def assemble():
-        return FeatureAssembler(world, collection.dataset).assemble()
+        return FeatureAssembler(source, collection.dataset).assemble()
 
     assembled = run_once(benchmark, assemble)
     rows = len(assembled.train) + len(assembled.validation) + len(assembled.test)

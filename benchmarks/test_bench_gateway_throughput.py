@@ -39,6 +39,7 @@ from repro.gateway import GatewayApp, GatewayClient, serve_in_thread
 from repro.registry import ModelRegistry
 from repro.serving import Announcement, PredictionService
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "8"))
@@ -57,9 +58,9 @@ PRE_POOL_BASELINE_RPS = 60.0
 
 @pytest.fixture(scope="module")
 def gateway_setup():
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
-    predictor = train_predictor(world, collection, epochs=EPOCHS, seed=0)
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
+    predictor = train_predictor(source, collection, epochs=EPOCHS, seed=0)
     positives = [
         e for e in collection.dataset.examples
         if e.label == 1 and e.split == "test"
@@ -70,7 +71,7 @@ def gateway_setup():
         for e in positives[:8]
     ]
     assert announcements, "tiny world produced no test positives"
-    return world, collection, predictor, announcements
+    return source, collection, predictor, announcements
 
 
 def percentiles(latencies_ms):
@@ -79,7 +80,7 @@ def percentiles(latencies_ms):
 
 
 def test_gateway_throughput(benchmark, gateway_setup):
-    world, collection, predictor, announcements = gateway_setup
+    source, collection, predictor, announcements = gateway_setup
     total = CLIENT_THREADS * REQUESTS_PER_CLIENT
     workload = [announcements[i % len(announcements)] for i in range(total)]
 
@@ -174,7 +175,7 @@ def exact(alert):
 @pytest.fixture(scope="module")
 def pool_registry(gateway_setup, tmp_path_factory):
     """The trained predictor published as an artifact the CLI can load."""
-    _world, _collection, predictor, _announcements = gateway_setup
+    _source, _collection, predictor, _announcements = gateway_setup
     registry = ModelRegistry(tmp_path_factory.mktemp("bench-registry"))
     registry.publish(predictor, "dnn", provenance={"model": "dnn"})
     return registry
@@ -259,7 +260,7 @@ def _hammer(url: str, workload, clients: int):
 
 
 def test_gateway_scaling(benchmark, gateway_setup, pool_registry):
-    _world, _collection, predictor, announcements = gateway_setup
+    _source, _collection, predictor, announcements = gateway_setup
     workload = [announcements[i % len(announcements)]
                 for i in range(SWEEP_REQUESTS)]
     expected = exact(PredictionService(predictor).rank_one(announcements[0]))

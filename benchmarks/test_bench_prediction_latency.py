@@ -15,8 +15,8 @@ from repro.core import TargetCoinPredictor
 
 
 @pytest.fixture(scope="module")
-def predictor(world, collection, trained_snn):
-    return TargetCoinPredictor(world, collection.dataset, trained_snn)
+def predictor(source, collection, trained_snn):
+    return TargetCoinPredictor(source, collection.dataset, trained_snn)
 
 
 def test_prediction_latency(benchmark, collection, predictor):

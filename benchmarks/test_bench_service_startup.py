@@ -25,6 +25,7 @@ from repro.data import collect
 from repro.registry import save_artifact
 from repro.serving import PredictionService
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "8"))
@@ -32,26 +33,26 @@ EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "8"))
 
 @pytest.fixture(scope="module")
 def startup_setup(tmp_path_factory):
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
     artifact_dir = tmp_path_factory.mktemp("bench-artifacts") / "snn"
     save_artifact(
-        train_predictor(world, collection, epochs=EPOCHS, seed=0),
+        train_predictor(source, collection, epochs=EPOCHS, seed=0),
         artifact_dir,
     )
-    return world, collection, artifact_dir
+    return source, collection, artifact_dir
 
 
 def test_service_startup(benchmark, startup_setup):
-    world, collection, artifact_dir = startup_setup
+    source, collection, artifact_dir = startup_setup
 
     def retrain_boot():
-        predictor = train_predictor(world, collection, epochs=EPOCHS, seed=0)
+        predictor = train_predictor(source, collection, epochs=EPOCHS, seed=0)
         return PredictionService(predictor)
 
     def artifact_boot():
         return PredictionService.from_artifact(
-            artifact_dir, world, collection.dataset
+            artifact_dir, source, collection.dataset
         )
 
     started = time.perf_counter()

@@ -18,22 +18,23 @@ from repro.core import train_predictor
 from repro.data import collect
 from repro.serving import replay_test_period
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="module")
 def tiny_serving_setup():
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
-    predictor = train_predictor(world, collection, epochs=2, seed=0)
-    return world, collection, predictor
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
+    predictor = train_predictor(source, collection, epochs=2, seed=0)
+    return source, collection, predictor
 
 
 def test_stream_throughput(benchmark, tiny_serving_setup):
-    world, collection, predictor = tiny_serving_setup
+    source, collection, predictor = tiny_serving_setup
     result = run_once(
         benchmark,
-        lambda: replay_test_period(world, collection, predictor),
+        lambda: replay_test_period(source, collection, predictor),
     )
     stats = result.stats
     assert stats.alerts > 0

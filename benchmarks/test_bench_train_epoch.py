@@ -17,14 +17,15 @@ from repro.core import Trainer, make_model, snn_config_for
 from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="module")
 def tiny_assembled():
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
-    return FeatureAssembler(world, collection.dataset).assemble()
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
+    return FeatureAssembler(source, collection.dataset).assemble()
 
 
 def test_train_epoch(benchmark, tiny_assembled):

@@ -20,13 +20,13 @@ from repro.core import (
 from repro.utils import format_table
 
 
-def test_figure9_embedding_norms(benchmark, world, assembled):
+def test_figure9_embedding_norms(benchmark, source, assembled):
     def run():
         config = snn_config_for(assembled)
         e2e = CoinIdOnlyModel(config.n_coin_ids, config.coin_emb_dim,
                               np.random.default_rng(0))
         Trainer(epochs=10, seed=0).fit(e2e, assembled.train, assembled.validation)
-        sg_matrix, _ = train_coin_embeddings(world, mode="skipgram",
+        sg_matrix, _ = train_coin_embeddings(source, mode="skipgram",
                                              dim=config.coin_emb_dim)
         e2e_study = embedding_l1_norms(e2e.coin_embedding.weight.data,
                                        assembled.train, assembled.test)

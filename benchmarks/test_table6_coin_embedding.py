@@ -32,10 +32,10 @@ PAPER = {
 }
 
 
-def test_table6_coin_embedding(benchmark, world, assembled, trainer):
+def test_table6_coin_embedding(benchmark, source, assembled, trainer):
     outcome = run_once(
         benchmark,
-        lambda: run_coin_embedding_experiment(world, assembled, trainer),
+        lambda: run_coin_embedding_experiment(source, assembled, trainer),
     )
     rows = []
     for name in EMBEDDING_VARIANTS:

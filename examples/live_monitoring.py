@@ -22,17 +22,18 @@ from repro.data import collect
 from repro.registry import ModelRegistry
 from repro.serving import CollectingSink, ConsoleAlertSink, replay_test_period
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 def main() -> None:
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
 
     # Train once, publish a versioned artifact with a `latest` pointer.
     with tempfile.TemporaryDirectory() as registry_root:
         registry = ModelRegistry(registry_root)
-        predictor = train_predictor(world, collection, epochs=8, seed=0)
+        predictor = train_predictor(source, collection, epochs=8, seed=0)
         entry = registry.publish(predictor, "snn")
         print(f"published {entry.name}@{entry.version} "
               f"({entry.n_parameters} parameters)\n")
@@ -41,12 +42,12 @@ def main() -> None:
         # registry in milliseconds: weights, scalers and vocabulary are
         # restored and the compiled inference plan is re-verified — no
         # training data or fitting involved.
-        served = registry.load("snn").to_predictor(world, collection.dataset)
+        served = registry.load("snn").to_predictor(source, collection.dataset)
 
         print("monitoring announced pumps in the test period...\n")
         collected = CollectingSink()
         result = replay_test_period(
-            world, collection, served,
+            source, collection, served,
             sinks=(ConsoleAlertSink(top_k=3), collected),
         )
 

@@ -12,6 +12,7 @@ import numpy as np
 from repro.analysis import channel_level_study, event_study, volume_onset_hour
 from repro.data import collect
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
@@ -50,7 +51,7 @@ def main() -> None:
         print(f"  x={x:<3} {value:+.3f} {bar}")
     print("  (random coins: all near zero)")
 
-    samples = collect(world).samples
+    samples = collect(SyntheticWorldSource(world)).samples
     channels = channel_level_study(world, samples, min_history=3)
     print("\nFigure 5: intra-channel homogeneity (spread ratios, <1 = homogeneous)")
     for feature, scatter in channels.scatters.items():

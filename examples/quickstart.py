@@ -15,6 +15,7 @@ from repro.core import (
 from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig, format_table
 
 
@@ -22,15 +23,16 @@ def main() -> None:
     # 1. A synthetic world: coins, markets, Telegram channels, P&D events.
     world = SyntheticWorld.generate(ReproConfig.tiny())
     print("world:", world.summary())
+    source = SyntheticWorldSource(world)   # what the pipeline consumes
 
     # 2. The data-collection pipeline (§3): explore channels, detect pump
     #    messages, sessionize, extract P&D samples, build the dataset.
-    result = collect(world)
+    result = collect(source)
     print("extracted dataset:", result.table2())
     print("detection F1 (RF):", round(result.detection.reports["rf"].f1, 3))
 
     # 3. Features + SNN training (§5).
-    assembled = FeatureAssembler(world, result.dataset).assemble()
+    assembled = FeatureAssembler(source, result.dataset).assemble()
     model = make_model("snn", snn_config_for(assembled), seed=0)
     Trainer(epochs=8, seed=0).fit(model, assembled.train, assembled.validation)
 

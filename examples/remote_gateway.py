@@ -32,16 +32,17 @@ from repro.gateway import (
 from repro.registry import ModelRegistry
 from repro.serving import Announcement, PredictionService
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 def main() -> None:
     print("== building world + training two model versions ==")
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
     registry = ModelRegistry(Path(tempfile.mkdtemp()) / "models")
     for epochs in (2, 4):
-        predictor = train_predictor(world, collection, model="snn",
+        predictor = train_predictor(source, collection, model="snn",
                                     epochs=epochs, seed=0)
         entry = registry.publish(predictor, "snn",
                                  provenance={"epochs": epochs})
@@ -49,7 +50,7 @@ def main() -> None:
 
     print("\n== booting the gateway on snn@v0001 ==")
     path = registry.resolve("snn", "v0001")
-    service = PredictionService.from_artifact(path, world,
+    service = PredictionService.from_artifact(path, source,
                                               collection.dataset)
     app = GatewayApp(
         service, registry=registry,

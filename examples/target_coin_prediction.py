@@ -17,13 +17,14 @@ from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.features.sequence import SEQUENCE_NUMERIC_NAMES
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 def main() -> None:
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
-    assembled = FeatureAssembler(world, collection.dataset).assemble()
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
+    assembled = FeatureAssembler(source, collection.dataset).assemble()
     print(f"train rows: {len(assembled.train)}, "
           f"test ranking lists: {len(set(assembled.test.list_id))}")
 

@@ -41,9 +41,10 @@ Subpackages
 Quickstart
 ----------
 >>> from repro.simulation import SyntheticWorld
+>>> from repro.sources import SyntheticWorldSource
 >>> from repro.data import collect
 >>> world = SyntheticWorld.generate()          # doctest: +SKIP
->>> result = collect(world)                    # doctest: +SKIP
+>>> result = collect(SyntheticWorldSource(world))  # doctest: +SKIP
 >>> result.table2()                            # doctest: +SKIP
 """
 

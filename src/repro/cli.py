@@ -214,10 +214,9 @@ def cmd_world(args) -> int:
 
 def cmd_collect(args) -> int:
     from repro.data import collect
-    from repro.simulation import SyntheticWorld
+    from repro.sources import parse_source_spec
 
-    world = SyntheticWorld.generate(_config(args))
-    result = collect(world)
+    result = collect(parse_source_spec("synthetic", config=_config(args)))
     print("exploration:", result.exploration.summary())
     for name, report in result.detection.reports.items():
         print(f"detector {name}: auc={report.auc:.3f} f1={report.f1:.3f}")
@@ -241,9 +240,10 @@ def cmd_analyze(args) -> int:
     )
     from repro.data import collect
     from repro.simulation import SyntheticWorld
+    from repro.sources import SyntheticWorldSource
 
     world = SyntheticWorld.generate(_config(args))
-    samples = collect(world).samples
+    samples = collect(SyntheticWorldSource(world)).samples
     coins = coin_level_study(world, samples)
     print(f"repump rate: {coins.repump_rate:.3f}")
     print(f"cap cohort closest to pumped: {coins.closest_cohort('market_cap')}")
@@ -1042,29 +1042,19 @@ def cmd_signals(args) -> int:
         return 0
 
     # Head-to-head: the same ranker architecture trained message-only vs
-    # with the signal channels appended — the ISSUE's HR@k lift measure.
-    from repro.core import (
-        Trainer,
-        evaluate_scores,
-        make_model,
-        predict_scores,
-        snn_config_for,
-    )
+    # with the signal channels appended — the HR@k lift measure.
+    from repro.core import Trainer, run_target_coin_experiment
     from repro.features import FeatureAssembler
 
     results: dict[str, dict[int, float]] = {}
     for label, eng in (("message-only", None), ("message+signal", engine)):
-        assembler = FeatureAssembler(source, collection.dataset,
-                                     signal_engine=eng)
-        assembled = assembler.assemble()
-        model = make_model(args.model, snn_config_for(assembled),
-                           seed=args.seed)
-        Trainer(epochs=args.epochs, seed=args.seed).fit(
-            model, assembled.train, assembled.validation
+        assembled = FeatureAssembler(source, collection.dataset,
+                                     signal_engine=eng).assemble()
+        outcome = run_target_coin_experiment(
+            assembled, (args.model,),
+            Trainer(epochs=args.epochs, seed=args.seed), seed=args.seed,
         )
-        results[label] = evaluate_scores(
-            assembled.test, predict_scores(model, assembled.test)
-        )
+        results[label] = outcome.hr[args.model]
     base, aware = results["message-only"], results["message+signal"]
     print(format_table(
         ["k", "message-only", "message+signal", "lift"],

@@ -17,23 +17,21 @@ import numpy as np
 from repro.core.snn import Batch, SNNConfig
 from repro.features.assembler import AssembledSplit
 from repro.nn import MLP, Embedding, Module, Tensor
-from repro.sources.base import as_source
+from repro.sources.base import DataSource
 from repro.text import Word2Vec, sentences_to_tokens
 
 
-def train_coin_embeddings(source, mode: str = "skipgram",
+def train_coin_embeddings(source: DataSource, mode: str = "skipgram",
                           dim: int = 8, epochs: int = 2,
                           seed: int = 0) -> tuple[np.ndarray, Word2Vec]:
     """Pre-train word vectors on the Telegram corpus; extract coin rows.
 
-    ``source`` is any data backend (or a bare synthetic world); the
-    corpus is its full message stream.  Returns ``(matrix, model)`` where
-    ``matrix`` has ``n_coins + 1`` rows (the last is the PAD row, all
-    zeros).  Symbols missing from the corpus fall back to zeros — still far
+    ``source`` is any data backend; the corpus is its full message
+    stream.  Returns ``(matrix, model)`` where ``matrix`` has
+    ``n_coins + 1`` rows (the last is the PAD row, all zeros).  Symbols missing from the corpus fall back to zeros — still far
     better than a random untrained embedding because zero is a *consistent*
     neutral point (cf. Figure 9c-d).
     """
-    source = as_source(source)
     corpus = sentences_to_tokens([m.text for m in source.messages()])
     model = Word2Vec(corpus, dim=dim, mode=mode, epochs=epochs, min_count=2,
                      seed=seed)

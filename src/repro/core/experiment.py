@@ -21,7 +21,7 @@ from repro.core.evaluate import HR_KS, evaluate_scores
 from repro.core.snn import SNN, SNNConfig
 from repro.core.train import Trainer, predict_scores
 from repro.features.assembler import AssembledDataset
-from repro.sources.base import as_source
+from repro.sources.base import DataSource
 
 
 def snn_config_for(assembled: AssembledDataset, **overrides) -> SNNConfig:
@@ -42,16 +42,16 @@ def snn_config_for(assembled: AssembledDataset, **overrides) -> SNNConfig:
     return SNNConfig(**defaults)
 
 
-def train_predictor(source, collection=None, *,
+def train_predictor(source: DataSource, collection=None, *,
                     model: str = "snn", epochs: int = 8,
                     seed: int = 0, signals: bool = False) -> "TargetCoinPredictor":
     """The standard source → collect → assemble → train → predictor wiring.
 
-    ``source`` is any :class:`repro.sources.DataSource` backend (or a bare
-    synthetic world).  Shared by the ``serve`` CLI command, the
-    live-monitoring example and the serving tests/benchmarks, so the
-    training contract lives in one place.  Pass an existing
-    :class:`CollectionResult` to skip re-running the data pipeline.
+    ``source`` is any :class:`repro.sources.DataSource` backend.  Shared
+    by the ``serve`` CLI command, the live-monitoring example and the
+    serving tests/benchmarks, so the training contract lives in one
+    place.  Pass an existing :class:`CollectionResult` to skip re-running
+    the data pipeline.
 
     ``signals=True`` appends the :mod:`repro.signals` microstructure
     channels to the numeric features (recorded in provenance and in the
@@ -64,7 +64,6 @@ def train_predictor(source, collection=None, *,
     from repro.data.pipeline import collect
     from repro.features.assembler import FeatureAssembler
 
-    source = as_source(source)
     if collection is None:
         collection = collect(source)
     signal_engine = None
@@ -141,7 +140,7 @@ EMBEDDING_VARIANTS = ("e2e", "cbow", "sg", "snn", "snn_c", "snn_s")
 
 
 def run_coin_embedding_experiment(
-    source,
+    source: DataSource,
     assembled: AssembledDataset,
     trainer: Trainer | None = None,
     seed: int = 0,

@@ -11,8 +11,8 @@ trained on, so scoring a new announcement is a single call:
 >>> ranking = predictor.rank(channel_id, exchange_id=0, pump_time=t)  # doctest: +SKIP
 >>> ranking.top(5)                                              # doctest: +SKIP
 
-``source`` is any :class:`repro.sources.DataSource` backend (or a bare
-synthetic world, coerced) — the predictor itself is backend-agnostic.
+``source`` is any :class:`repro.sources.DataSource` backend — the
+predictor itself is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ import numpy as np
 from repro.core.snn import Batch
 from repro.data.dataset import TargetCoinDataset
 from repro.features.assembler import FeatureAssembler
-from repro.features.coin import coin_feature_matrix
-from repro.features.market_windows import market_feature_matrix
 from repro.features.sequence import SequenceFeatures, encode_history
-from repro.markets import PAIR_SYMBOLS
+from repro.markets import pump_candidates
 from repro.ml.scaling import StandardScaler
 from repro.nn import Module, no_grad, run_compiled, stable_sigmoid
-from repro.sources.base import as_source
+from repro.sources.base import DataSource
 from repro.telemetry import span
 from repro.utils.payload import (
     payload_float as _payload_float,
@@ -142,8 +140,7 @@ class TargetCoinPredictor:
     Parameters
     ----------
     source:
-        The data backend (market/universe oracle) used to compute features;
-        a :class:`repro.sources.DataSource` or a bare synthetic world.
+        The data backend (market/universe oracle) used to compute features.
     dataset:
         The extracted P&D dataset (provides per-channel pump histories and
         split statistics for feature standardization).
@@ -157,15 +154,14 @@ class TargetCoinPredictor:
         train split when omitted.
     """
 
-    def __init__(self, source, dataset: TargetCoinDataset,
+    def __init__(self, source: DataSource, dataset: TargetCoinDataset,
                  model: Module, assembler: FeatureAssembler | None = None,
                  scalers: tuple[StandardScaler, StandardScaler] | None = None):
-        self.source = as_source(source)
+        self.source = source
         self.dataset = dataset
         self.model = model
-        self.assembler = assembler or FeatureAssembler(self.source, dataset)
+        self.assembler = assembler or FeatureAssembler(source, dataset)
         self._channel_index = self.assembler.channel_index
-        self._subscribers = self.assembler.subscribers
         # Training provenance carried into saved artifacts (set by
         # train_predictor / from_artifact; stays empty for ad-hoc builds).
         self.provenance: dict = {}
@@ -194,8 +190,10 @@ class TargetCoinPredictor:
         for idx in sample:
             example = train_rows[int(idx)]
             coins = np.array([example.coin_id])
-            block = self._raw_numeric(example.channel_id, coins, example.time)
-            numeric_blocks.append(block)
+            numeric_blocks.append(self.assembler.numeric_rows(
+                example.channel_id,
+                self.assembler.candidate_block(coins, example.time),
+            ))
             if example.list_id not in seen_lists:
                 seen_lists.add(example.list_id)
                 seq = self._sequence_cache.get(example.channel_id, example.time)
@@ -211,34 +209,14 @@ class TargetCoinPredictor:
 
     def coin_market_block(self, exchange_id: int, coins: np.ndarray,
                           time: float) -> np.ndarray:
-        """Raw coin-stable + market-movement features for candidates.
+        """Raw channel-independent features for candidates: the
+        assembler's :meth:`~FeatureAssembler.candidate_block`, so served
+        rows are the rows offline assembly built.
 
         Channel-independent, so a serving layer can memoize it per
         (exchange, time) and share it across concurrent announcements.
-        When the assembler carries a signal engine (see
-        :mod:`repro.signals`), its channels are appended here — which is
-        the single choke point that makes signal-aware features flow
-        through scaler fitting, offline assembly, and the serving
-        feature cache without any of those layers changing.
         """
-        market = self.source.market
-        parts = [
-            coin_feature_matrix(market, coins, time),
-            market_feature_matrix(market, coins, time),
-        ]
-        engine = self.assembler.signal_engine
-        if engine is not None:
-            parts.append(engine.feature_block(coins, time))
-        return np.concatenate(parts, axis=1)
-
-    def _raw_numeric(self, channel_id: int, coins: np.ndarray, time: float,
-                     block: np.ndarray | None = None) -> np.ndarray:
-        if block is None:
-            block = self.coin_market_block(0, coins, time)
-        channel_feature = np.log(self._subscribers.get(channel_id, 1000) + 1.0)
-        return np.concatenate([
-            np.full((len(coins), 1), channel_feature), block,
-        ], axis=1)
+        return self.assembler.candidate_block(coins, time)
 
     # -- artifact lifecycle (see repro.registry) -----------------------------
 
@@ -271,8 +249,7 @@ class TargetCoinPredictor:
 
     def candidates(self, exchange_id: int, pump_time: float) -> np.ndarray:
         """Eligible coins: listed on the exchange, not a pairing major."""
-        listed = self.source.coins.listed_coins(exchange_id, pump_time)
-        return listed[listed >= len(PAIR_SYMBOLS)]
+        return pump_candidates(self.source.coins, exchange_id, pump_time)
 
     def knows_channel(self, channel_id: int) -> bool:
         """True when the channel was part of the training universe."""
@@ -342,8 +319,7 @@ class TargetCoinPredictor:
                 block = self.coin_market_block(request.exchange_id, coins,
                                                 request.pump_time)
             numeric_blocks.append(self._numeric_scaler.transform(
-                self._raw_numeric(request.channel_id, coins,
-                                  request.pump_time, block)
+                self.assembler.numeric_rows(request.channel_id, block)
             ))
             histories.append(self._sequence_cache.encode(
                 history_fn(request.channel_id, request.pump_time),

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.sessions import PnDSample
-from repro.markets import PAIR_SYMBOLS
-from repro.sources.base import as_source
+from repro.markets import pump_candidates
+from repro.sources.base import DataSource
 from repro.utils.config import ReproConfig
 
 # Positive-time quantiles of the split boundaries; chosen to match the
@@ -26,6 +26,19 @@ TRAIN_QUANTILE = 0.684
 VALIDATION_QUANTILE = 0.789
 
 SPLIT_NAMES = ("train", "validation", "test")
+
+
+def history_window(samples: Sequence[PnDSample], time: float,
+                   length: int) -> list[PnDSample]:
+    """The last ``length`` of chronological ``samples`` strictly before
+    ``time`` — the pump history a ranking at ``time`` sees, offline and
+    served alike.
+
+    Strict inequality prevents label leakage: the positive being
+    predicted never appears in its own sequence.
+    """
+    past = [s for s in samples if s.time < time - 1e-9]
+    return past[-length:]
 
 
 @dataclass(frozen=True)
@@ -52,16 +65,14 @@ class TargetCoinDataset:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build(cls, source, samples: Sequence[PnDSample],
+    def build(cls, source: DataSource, samples: Sequence[PnDSample],
               exchange_id: int = 0, pair: str = "BTC") -> "TargetCoinDataset":
         """Build the ranking dataset from extracted samples.
 
-        ``source`` is any data backend (or a bare ``SyntheticWorld``).
         Mirrors the paper: restrict to one exchange/pair, deduplicate
         channel-level samples into per-channel positives, generate listed-coin
         negatives, split temporally.
         """
-        source = as_source(source)
         config = source.repro_config()
         rng = np.random.default_rng(config.seed * 60013 + 101)
         positives = [
@@ -87,8 +98,7 @@ class TargetCoinDataset:
                 else "validation" if sample.time <= t_val
                 else "test"
             )
-            listed = source.coins.listed_coins(exchange_id, sample.time)
-            eligible = listed[listed >= len(PAIR_SYMBOLS)]
+            eligible = pump_candidates(source.coins, exchange_id, sample.time)
             negatives = eligible[eligible != sample.coin_id]
             cap = config.max_negatives_per_event
             if cap and len(negatives) > cap:
@@ -114,16 +124,8 @@ class TargetCoinDataset:
 
     def history_before(self, channel_id: int, time: float,
                        length: int) -> list[PnDSample]:
-        """The channel's last ``length`` samples strictly before ``time``.
-
-        Strict inequality prevents label leakage: the positive being
-        predicted never appears in its own sequence.
-        """
-        past = [
-            s for s in self.history.get(channel_id, ())
-            if s.time < time - 1e-9
-        ]
-        return past[-length:]
+        """The channel's last ``length`` samples strictly before ``time``."""
+        return history_window(self.history.get(channel_id, ()), time, length)
 
     def table4(self) -> dict[str, dict[str, int]]:
         """Counts in the shape of the paper's Table 4."""

@@ -5,7 +5,7 @@ filtering + detection → sessionization → sample extraction → dataset
 construction, returning every intermediate artefact so analyses and
 benchmarks can inspect each stage.  ``source`` is any
 :class:`repro.sources.DataSource` backend — the synthetic world adapter
-or a recorded file dump — or a bare ``SyntheticWorld`` (coerced).
+or a recorded file dump.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.data.sessions import (
     extract_samples,
     sessionize,
 )
-from repro.sources.base import as_source
+from repro.sources.base import DataSource
 
 
 @dataclass
@@ -40,10 +40,9 @@ class CollectionResult:
         return dataset_statistics(self.samples)
 
 
-def collect(source, max_hops: int = 2,
+def collect(source: DataSource, max_hops: int = 2,
             n_label: int = 1600) -> CollectionResult:
     """Run the full §3 pipeline against a data source."""
-    source = as_source(source)
     explorer = ChannelExplorer(source.channels, source.messages(),
                                max_hops=max_hops)
     exploration = explorer.explore(source.channels.seed_channel_ids())

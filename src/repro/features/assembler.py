@@ -27,7 +27,7 @@ from repro.features.sequence import (
     pad_coin_id,
 )
 from repro.ml.scaling import StandardScaler
-from repro.sources.base import as_source
+from repro.sources.base import DataSource
 
 CHANNEL_FEATURE_NAMES = ("log_subscribers",)
 
@@ -80,8 +80,9 @@ class AssembledDataset:
 class FeatureAssembler:
     """Build :class:`AssembledDataset` from a data source + extracted dataset.
 
-    ``source`` is any :class:`repro.sources.DataSource` backend (or a bare
-    synthetic world, coerced for backward compatibility).
+    The assembler owns the raw numeric row (:meth:`candidate_block` and
+    :meth:`numeric_rows`); the predictor built on top computes served
+    rows through the same two methods.
 
     ``signal_engine`` optionally appends market-microstructure signal
     channels (squashed per-signal scores plus the composite; see
@@ -91,9 +92,9 @@ class FeatureAssembler:
     the signals package (which sits above the feature layer).
     """
 
-    def __init__(self, source, dataset: TargetCoinDataset,
+    def __init__(self, source: DataSource, dataset: TargetCoinDataset,
                  signal_engine=None):
-        self.source = as_source(source)
+        self.source = source
         self.dataset = dataset
         self.signal_engine = signal_engine
         self.sequence_length = self.source.sequence_length
@@ -115,11 +116,30 @@ class FeatureAssembler:
             names = names + tuple(self.signal_engine.feature_names)
         return names
 
+    def candidate_block(self, coins: np.ndarray, time: float) -> np.ndarray:
+        """Raw channel-independent columns for candidates at ``time``:
+        coin-stable, market-movement, then signal channels (if any)."""
+        market = self.source.market
+        parts = [
+            coin_feature_matrix(market, coins, time),
+            market_feature_matrix(market, coins, time),
+        ]
+        if self.signal_engine is not None:
+            parts.append(self.signal_engine.feature_block(coins, time))
+        return np.concatenate(parts, axis=1)
+
+    def numeric_rows(self, channel_id: int, block: np.ndarray) -> np.ndarray:
+        """Raw numeric rows, in :attr:`numeric_feature_names` order: the
+        channel column (log subscribers) before a :meth:`candidate_block`."""
+        channel_feature = np.log(self.subscribers.get(channel_id, 1000) + 1.0)
+        return np.concatenate([
+            np.full((len(block), 1), channel_feature), block,
+        ], axis=1)
+
     # -- assembly -------------------------------------------------------------
 
     def assemble(self) -> AssembledDataset:
         examples = self.dataset.examples
-        market = self.source.market
         n = len(examples)
         n_numeric = len(self.numeric_feature_names)
         channel_idx = np.zeros(n, dtype=np.int64)
@@ -144,9 +164,8 @@ class FeatureAssembler:
         stops = np.concatenate((boundaries, [n])) if n else np.empty(0, np.int64)
         for start, stop in zip(starts, stops):
             rows = order[start:stop]
-            self._fill_list(rows, examples, market, all_coins, channel_idx,
-                            coin_idx, numeric, seq_coin_idx, seq_numeric,
-                            seq_mask)
+            self._fill_list(rows, examples, all_coins, channel_idx, coin_idx,
+                            numeric, seq_coin_idx, seq_numeric, seq_mask)
 
         # Standardize numerics (and sequence numerics) on train stats only.
         train_mask = split_name == "train"
@@ -182,8 +201,8 @@ class FeatureAssembler:
         )
 
     def _fill_list(self, rows: np.ndarray, examples: list[TargetCoinExample],
-                   market, all_coins, channel_idx, coin_idx, numeric,
-                   seq_coin_idx, seq_numeric, seq_mask) -> None:
+                   all_coins, channel_idx, coin_idx, numeric, seq_coin_idx,
+                   seq_numeric, seq_mask) -> None:
         """Fill feature rows for one ranking list (shared channel + time).
 
         All writes are list-level batched assignments; the sequence encoding
@@ -193,19 +212,11 @@ class FeatureAssembler:
         time = first.time
         channel_id = first.channel_id
         coins = all_coins[rows]
-
-        channel_feature = np.log(self.subscribers.get(channel_id, 1000) + 1.0)
-        coin_features = coin_feature_matrix(market, coins, time)
-        movement = market_feature_matrix(market, coins, time)
-        parts = [np.full((len(rows), 1), channel_feature), coin_features,
-                 movement]
-        if self.signal_engine is not None:
-            parts.append(self.signal_engine.feature_block(coins, time))
-        block = np.concatenate(parts, axis=1)
+        numeric[rows] = self.numeric_rows(channel_id,
+                                          self.candidate_block(coins, time))
         sequence = self.sequence_cache.get(channel_id, time)
         channel_idx[rows] = self.channel_index[channel_id]
         coin_idx[rows] = coins
-        numeric[rows] = block
         seq_coin_idx[rows] = sequence.coin_ids
         seq_numeric[rows] = sequence.numeric
         seq_mask[rows] = sequence.mask

@@ -31,7 +31,7 @@ from repro.serving.online import Announcement
 from repro.serving.service import Alert
 from repro.serving.sinks import AlertSink
 from repro.serving.stats import ServiceStats
-from repro.sources.base import as_source
+from repro.sources.base import DataSource
 
 
 def remote_ranker(client: GatewayClient, stats: ServiceStats):
@@ -72,7 +72,7 @@ def remote_ranker(client: GatewayClient, stats: ServiceStats):
     return rank_batch
 
 
-def replay_against_gateway(source, collection: CollectionResult,
+def replay_against_gateway(source: DataSource, collection: CollectionResult,
                            client: GatewayClient, *,
                            sinks: tuple[AlertSink, ...] = (),
                            max_batch: int = 64) -> EngineResult:
@@ -83,7 +83,6 @@ def replay_against_gateway(source, collection: CollectionResult,
     monitored channel set, same micro-batching — with the ranking model
     living behind ``client`` instead of in this process.
     """
-    source = as_source(source)
     stats = ServiceStats()
     detector, sessionizer = detector_and_sessionizer(source, collection, stats)
     engine = StreamEngine(detector, sessionizer,

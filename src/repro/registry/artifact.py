@@ -253,7 +253,7 @@ class PredictorArtifact:
             numeric_scaler=_snapshot_scaler(predictor._numeric_scaler),
             seq_scaler=_snapshot_scaler(predictor._seq_scaler),
             channel_index=dict(predictor._channel_index),
-            subscribers=dict(predictor._subscribers),
+            subscribers=dict(predictor.assembler.subscribers),
             sequence_length=predictor.assembler.sequence_length,
             signal_channels=tuple(
                 predictor.assembler.signal_engine.feature_names
@@ -456,11 +456,11 @@ class PredictorArtifact:
         """Bind the artifact to a data source/dataset — no training, no
         refitting.
 
-        ``source`` is any :class:`repro.sources.DataSource` backend (or a
-        bare synthetic world, coerced) — it need *not* be the backend the
-        model was trained on; a model trained against the simulator can
-        serve a recorded file dump and vice versa, as long as both
-        describe the same channel/coin universe.  The dataset must
+        ``source`` is any :class:`repro.sources.DataSource` backend — it
+        need *not* be the backend the model was trained on; a model
+        trained against the simulator can serve a recorded file dump and
+        vice versa, as long as both describe the same channel/coin
+        universe.  The dataset must
         describe the same channel universe the model was trained on (its
         embedding rows are positional); a vocabulary mismatch fails loudly
         instead of silently scoring with shuffled channel embeddings.

@@ -31,7 +31,7 @@ from repro.serving.service import Alert, PredictionService
 from repro.serving.sinks import AlertSink
 from repro.serving.stats import ServiceStats
 from repro.serving.stream import MessageStream
-from repro.sources.base import as_source
+from repro.sources.base import DataSource
 from repro.telemetry import span
 
 # Two stream timestamps closer than this are "concurrent" for batching.
@@ -117,7 +117,8 @@ class StreamEngine:
         return EngineResult(alerts=alerts, stats=self.stats, skipped=skipped)
 
 
-def detector_and_sessionizer(source, collection: CollectionResult,
+def detector_and_sessionizer(source: DataSource,
+                             collection: CollectionResult,
                              stats: ServiceStats
                              ) -> tuple[OnlineDetector, OnlineSessionizer]:
     """The online front of every engine, local or remote: the fitted
@@ -129,7 +130,8 @@ def detector_and_sessionizer(source, collection: CollectionResult,
     return detector, sessionizer
 
 
-def held_out_stream(source, collection: CollectionResult) -> MessageStream:
+def held_out_stream(source: DataSource,
+                    collection: CollectionResult) -> MessageStream:
     """The held-out test period: every explored channel's messages from
     the validation/test boundary onwards."""
     return MessageStream.replay(
@@ -138,7 +140,7 @@ def held_out_stream(source, collection: CollectionResult) -> MessageStream:
     )
 
 
-def build_engine(source, collection: CollectionResult,
+def build_engine(source: DataSource, collection: CollectionResult,
                  predictor, *,
                  sinks: tuple[AlertSink, ...] = (), bucket_hours: float = 1.0,
                  cache_entries: int = 512, max_batch: int = 64,
@@ -146,19 +148,17 @@ def build_engine(source, collection: CollectionResult,
                  store=None) -> StreamEngine:
     """Wire a stream engine from the offline pipeline's artefacts.
 
-    ``source`` is any :class:`repro.sources.DataSource` backend (or a
-    bare synthetic world) — the same seam the offline pipeline uses,
-    so an engine can serve recorded file dumps as easily as the
-    simulator.  ``predictor`` is either an in-memory
-    :class:`TargetCoinPredictor` or a saved-artifact reference (a
-    :class:`repro.registry.PredictorArtifact` or a path to an artifact
+    ``source`` is any :class:`repro.sources.DataSource` backend — the
+    same seam the offline pipeline uses, so an engine can serve recorded
+    file dumps as easily as the simulator.  ``predictor`` is either an
+    in-memory :class:`TargetCoinPredictor` or a saved-artifact reference
+    (a :class:`repro.registry.PredictorArtifact` or a path to an artifact
     directory), so a serving process can boot straight from disk without
     retraining.
 
     One :class:`ServiceStats` instance is shared by every component, so the
     resulting engine's ``stats`` reflects the whole serving path.
     """
-    source = as_source(source)
     if not isinstance(predictor, TargetCoinPredictor):
         predictor = TargetCoinPredictor.from_artifact(
             predictor, source, collection.dataset
@@ -186,7 +186,7 @@ def build_engine(source, collection: CollectionResult,
                         stats=stats)
 
 
-def replay_test_period(source, collection: CollectionResult,
+def replay_test_period(source: DataSource, collection: CollectionResult,
                        predictor, *,
                        sinks: tuple[AlertSink, ...] = (),
                        bucket_hours: float = 1.0, cache_entries: int = 512,
@@ -199,7 +199,6 @@ def replay_test_period(source, collection: CollectionResult,
     :func:`build_engine`, ``source`` may be any backend and ``predictor``
     an in-memory predictor or a saved-artifact reference.
     """
-    source = as_source(source)
     engine = build_engine(
         source, collection, predictor, sinks=sinks, bucket_hours=bucket_hours,
         cache_entries=cache_entries, max_batch=max_batch,

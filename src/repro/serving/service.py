@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.predictor import RankRequest, Ranking, TargetCoinPredictor
+from repro.data.dataset import history_window
 from repro.data.sessions import PnDSample
 from repro.nn.compile import prewarm
 from repro.serving.cache import FeatureCache
@@ -144,7 +145,8 @@ class PredictionService:
         self._store_cursor = 0
         self._history: dict[int, list[PnDSample]] = {}
         for channel_id, samples in predictor.dataset.history.items():
-            seeded = [s for s in samples if s.time < history_cutoff - 1e-9]
+            # Every sample before the cutoff: the window as long as the list.
+            seeded = history_window(samples, history_cutoff, len(samples))
             if seeded:
                 self._history[channel_id] = seeded
 
@@ -279,12 +281,8 @@ class PredictionService:
         self._store_cursor = previous._store_cursor
 
     def _history_before(self, channel_id: int, time: float) -> list[PnDSample]:
-        length = self.predictor.assembler.sequence_length
-        past = [
-            s for s in self._history.get(channel_id, ())
-            if s.time < time - 1e-9
-        ]
-        return past[-length:]
+        return history_window(self._history.get(channel_id, ()), time,
+                              self.predictor.assembler.sequence_length)
 
     # -- scoring -------------------------------------------------------------
 

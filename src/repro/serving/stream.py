@@ -75,17 +75,11 @@ class MessageStream:
                channel_ids: Sequence[int] | None = None) -> "MessageStream":
         """A stream replaying a data source's (or raw list's) messages.
 
-        ``source`` may be a :class:`repro.sources.DataSource` backend, a
-        synthetic world (anything with a ``messages`` feed), or a plain
-        message sequence.
+        ``source`` is a :class:`repro.sources.DataSource` backend or a
+        plain message sequence.
         """
         feed = getattr(source, "messages", None)
-        if callable(feed):
-            messages = feed()          # a DataSource backend
-        elif feed is not None:
-            messages = feed            # a world-style .messages attribute
-        else:
-            messages = source          # a raw message sequence
+        messages = feed() if callable(feed) else source
         return cls(ReplaySource(messages, start=start, stop=stop,
                                 channel_ids=channel_ids))
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.predictor import CoinScore, Ranking
-from repro.markets import PAIR_SYMBOLS
+from repro.markets import pump_candidates
 from repro.ml import hit_ratio_at_k
 from repro.signals.engine import SignalEngine
 
@@ -32,8 +32,7 @@ class SignalRanker:
 
     def candidates(self, exchange_id: int, time: float) -> np.ndarray:
         """Eligible coins: listed on the exchange, not a pairing major."""
-        listed = self.source.coins.listed_coins(exchange_id, time)
-        return listed[listed >= len(PAIR_SYMBOLS)]
+        return pump_candidates(self.source.coins, exchange_id, time)
 
     def rank(self, channel_id: int, exchange_id: int,
              time: float) -> Ranking:

@@ -516,7 +516,7 @@ class MarketSimulator:
 
     def typical_trade_size(self, coin_ids) -> np.ndarray:
         """Per-coin typical trade size used by the trade-count proxy."""
-        return np.exp(self._volume_base[np.asarray(coin_ids, dtype=np.int64)]) / 180.0
+        return np.exp(self._volume_base[self._coin_index(coin_ids)]) / 180.0
 
     def trade_count_from_volume(self, volume: np.ndarray,
                                 coin_ids) -> np.ndarray:

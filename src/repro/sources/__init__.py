@@ -8,9 +8,9 @@ protocols in :mod:`repro.sources.base`; the backends here implement them:
 * :class:`FileDatasetSource` — recorded CSV/JSONL dumps (see ``repro
   ingest``).
 
-``as_source`` coerces either a backend or a bare ``SyntheticWorld``, so
-legacy call sites keep working; ``parse_source_spec`` resolves the CLI's
-``--source`` flag (``synthetic`` or ``file:<dump-dir>``).
+Every consumer takes one of these backends; ``parse_source_spec``
+resolves the CLI's ``--source`` flag (``synthetic`` or
+``file:<dump-dir>``) into one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.sources.base import (
     MarketDataSource,
     MessageFeed,
     SourceDataError,
-    as_source,
 )
 from repro.sources.filedata import FileDatasetSource
 from repro.sources.ingest import export_synthetic_dump, ingest_raw
@@ -67,7 +66,6 @@ __all__ = [
     "MessageFeed",
     "SourceDataError",
     "SyntheticWorldSource",
-    "as_source",
     "export_synthetic_dump",
     "ingest_raw",
     "parse_source_spec",

@@ -15,9 +15,8 @@ predictor, the streaming service — needs exactly four capabilities:
 knobs (seed, sequence length, negative cap).  Two backends ship:
 :class:`repro.sources.synthetic.SyntheticWorldSource` adapts the simulator
 bit-for-bit, and :class:`repro.sources.filedata.FileDatasetSource` loads
-recorded CSV/JSONL dumps.  Consumers accept either a backend or a bare
-:class:`~repro.simulation.world.SyntheticWorld` (coerced via
-:func:`as_source`), so pre-refactor call sites keep working unchanged.
+recorded CSV/JSONL dumps.  Every consumer takes a :class:`DataSource`;
+a simulated world enters the pipeline wrapped in the adapter.
 """
 
 from __future__ import annotations
@@ -193,23 +192,3 @@ class DataSource:
             max_negatives_per_event=self.max_negatives_per_event,
         )
 
-
-def as_source(obj) -> DataSource:
-    """Coerce ``obj`` into a :class:`DataSource`.
-
-    Accepts a ready backend unchanged, or a bare
-    :class:`~repro.simulation.world.SyntheticWorld`, which is wrapped in a
-    :class:`~repro.sources.synthetic.SyntheticWorldSource` — the seam that
-    keeps every pre-refactor ``f(world, ...)`` call site working.
-    """
-    if isinstance(obj, DataSource):
-        return obj
-    # Lazy import: only the adapter module knows about the simulator.
-    from repro.sources.synthetic import SyntheticWorldSource, is_world
-
-    if is_world(obj):
-        return SyntheticWorldSource(obj)
-    raise TypeError(
-        f"cannot build a data source from {type(obj).__name__!r}; expected "
-        "a DataSource backend or a SyntheticWorld"
-    )

@@ -339,19 +339,23 @@ class FileMarketData:
         """(first, last) recorded hour."""
         return int(self._hours[0]), int(self._hours[-1])
 
+    def _coin_index(self, coin_ids) -> np.ndarray:
+        """``coin_ids`` as int64, refusing ids outside the catalog."""
+        coin_ids = np.asarray(coin_ids, dtype=np.int64)
+        n = self.universe.n_coins
+        if coin_ids.size and (coin_ids.min() < 0 or coin_ids.max() >= n):
+            raise SourceDataError(
+                f"candle query references coin ids outside the catalog "
+                f"(0..{n - 1})"
+            )
+        return coin_ids
+
     def _lookup(self, grid: np.ndarray, coin_ids, hours,
                 what: str) -> np.ndarray:
-        coin_ids = np.asarray(coin_ids, dtype=np.int64)
+        coin_ids = self._coin_index(coin_ids)
         hours = np.asarray(hours, dtype=float)
         coin_ids, hours = np.broadcast_arrays(coin_ids, hours)
         flat_coins = coin_ids.reshape(-1)
-        if flat_coins.size and (
-            flat_coins.min() < 0 or flat_coins.max() >= self.universe.n_coins
-        ):
-            raise SourceDataError(
-                f"candle query references coin ids outside the catalog "
-                f"(0..{self.universe.n_coins - 1})"
-            )
         hour_idx = np.floor(hours).astype(np.int64).reshape(-1)
         columns = np.searchsorted(self._hours, hour_idx)
         in_range = columns < len(self._hours)
@@ -438,7 +442,7 @@ class FileMarketData:
         )
 
     def typical_trade_size(self, coin_ids) -> np.ndarray:
-        return self._trade_size[np.asarray(coin_ids, dtype=np.int64)]
+        return self._trade_size[self._coin_index(coin_ids)]
 
     def trade_count_from_volume(self, volume: np.ndarray,
                                 coin_ids) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.markets import EXCHANGE_NAMES
-from repro.sources.base import SourceDataError, as_source
+from repro.sources.base import SourceDataError
 from repro.sources.filedata import (
     CANDLES_NAME,
     CHANNELS_NAME,
@@ -43,6 +43,7 @@ from repro.sources.filedata import (
     parse_message_record,
     read_csv_table,
 )
+from repro.sources.synthetic import SyntheticWorldSource
 
 # Candle hours exported around every sample time: features read back to
 # t-73 (the 72h window ends one hour before the pump), stable stats to
@@ -159,7 +160,7 @@ def export_synthetic_dump(world, out_dir: str | Path, *, collection=None,
     """
     if hours not in ("needed", "all"):
         raise ValueError("hours must be 'needed' or 'all'")
-    source = as_source(world)
+    source = SyntheticWorldSource(world)
     out_dir = _prepare_out_dir(out_dir)
     if collection is None:
         from repro.data.pipeline import collect

@@ -16,20 +16,16 @@ from repro.sources.base import DataSource
 from repro.types import Message
 
 
-def is_world(obj) -> bool:
-    """True when ``obj`` is a SyntheticWorld (without importing eagerly)."""
-    from repro.simulation.world import SyntheticWorld
-
-    return isinstance(obj, SyntheticWorld)
-
-
 class SyntheticWorldSource(DataSource):
     """Adapt a generated :class:`~repro.simulation.world.SyntheticWorld`."""
 
     kind = "synthetic"
 
     def __init__(self, world):
-        if not is_world(world):
+        # Lazy: the data plane imports the simulator only to adapt one.
+        from repro.simulation.world import SyntheticWorld
+
+        if not isinstance(world, SyntheticWorld):
             raise TypeError(
                 f"SyntheticWorldSource wraps a SyntheticWorld, got "
                 f"{type(world).__name__!r}"

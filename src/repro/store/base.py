@@ -58,10 +58,6 @@ class EventStore:
 
     # -- queries (the read path) ---------------------------------------------
 
-    def observations(self) -> list[tuple[str, "Announcement"]]:
-        """Every recorded observation, in append order."""
-        raise NotImplementedError
-
     def observations_since(
             self, seq: int) -> list[tuple[int, str, "Announcement"]]:
         """``(seq, event_id, announcement)`` rows with ``seq > seq``, in
@@ -132,9 +128,6 @@ class NullEventStore(EventStore):
 
     def append_stats(self, summary: dict) -> None:
         pass
-
-    def observations(self) -> list:
-        return []
 
     def observations_since(self, seq: int) -> list:
         rows, self._unread = self._unread, []

@@ -200,21 +200,6 @@ class SQLiteEventStore(EventStore):
 
     # -- queries -------------------------------------------------------------
 
-    def observations(self) -> list:
-        from repro.serving.online import Announcement
-
-        rows = self._execute(
-            "SELECT event_id, channel_id, coin_id, exchange_id, pair, time "
-            "FROM observations ORDER BY seq"
-        ).fetchall()
-        return [
-            (event_id, Announcement(channel_id=channel_id, coin_id=coin_id,
-                                    exchange_id=exchange_id, pair=pair,
-                                    time=when))
-            for event_id, channel_id, coin_id, exchange_id, pair, when
-            in rows
-        ]
-
     def observations_since(self, seq: int) -> list:
         from repro.serving.online import Announcement
 

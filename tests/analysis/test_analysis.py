@@ -16,6 +16,7 @@ from repro.analysis import (
 )
 from repro.data import collect
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()
@@ -28,7 +29,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def samples(world):
-    return collect(world, n_label=600).samples
+    return collect(SyntheticWorldSource(world), n_label=600).samples
 
 
 class TestCoinLevel:

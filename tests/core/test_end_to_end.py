@@ -21,18 +21,19 @@ from repro.core import (
 from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="module")
-def world():
-    return SyntheticWorld.generate(ReproConfig.tiny())
+def source():
+    return SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
 
 
 @pytest.fixture(scope="module")
-def assembled(world):
-    result = collect(world, n_label=600)
-    return FeatureAssembler(world, result.dataset).assemble()
+def assembled(source):
+    result = collect(source, n_label=600)
+    return FeatureAssembler(source, result.dataset).assemble()
 
 
 class TestEndToEndLearning:
@@ -64,18 +65,18 @@ class TestEndToEndLearning:
 
 
 class TestColdStartEndToEnd:
-    def test_word_embeddings_cover_most_coins(self, world):
-        matrix, model = train_coin_embeddings(world, mode="skipgram", epochs=1)
+    def test_word_embeddings_cover_most_coins(self, source):
+        matrix, model = train_coin_embeddings(source, mode="skipgram", epochs=1)
         nonzero = (np.abs(matrix).sum(axis=1) > 0).mean()
         assert nonzero > 0.5
         # PAD row stays zero.
         assert np.allclose(matrix[-1], 0.0)
 
-    def test_embedding_experiment_runs_all_variants(self, world, assembled):
+    def test_embedding_experiment_runs_all_variants(self, source, assembled):
         """Functional check; the Table 6 ordering is asserted at benchmark
         scale where the test split is large enough to be meaningful."""
         outcome = run_coin_embedding_experiment(
-            world, assembled, trainer=Trainer(epochs=3, seed=0),
+            source, assembled, trainer=Trainer(epochs=3, seed=0),
             variants=("e2e", "sg", "snn_s"),
         )
         assert set(outcome.hr) == {"e2e", "sg", "snn_s"}

@@ -13,24 +13,25 @@ from repro.core.transfer import (
 from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()
 
 
 @pytest.fixture(scope="module")
-def world():
-    return SyntheticWorld.generate(CFG)
+def source():
+    return SyntheticWorldSource(SyntheticWorld.generate(CFG))
 
 
 @pytest.fixture(scope="module")
-def collection(world):
-    return collect(world)
+def collection(source):
+    return collect(source)
 
 
 @pytest.fixture(scope="module")
-def assembled(world, collection):
-    return FeatureAssembler(world, collection.dataset).assemble()
+def assembled(source, collection):
+    return FeatureAssembler(source, collection.dataset).assemble()
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +43,15 @@ def snn(assembled):
 
 class TestPredictor:
     @pytest.fixture(scope="class")
-    def predictor(self, world, collection, snn):
-        return TargetCoinPredictor(world, collection.dataset, snn)
+    def predictor(self, source, collection, snn):
+        return TargetCoinPredictor(source, collection.dataset, snn)
 
     def _an_event(self, collection):
         positives = [e for e in collection.dataset.examples
                      if e.label == 1 and e.split == "test"]
         return positives[0]
 
-    def test_ranking_covers_all_candidates(self, world, collection, predictor):
+    def test_ranking_covers_all_candidates(self, collection, predictor):
         event = self._an_event(collection)
         ranking = predictor.rank(event.channel_id, 0, event.time)
         candidates = predictor.candidates(0, event.time)
@@ -63,11 +64,11 @@ class TestPredictor:
         assert probs == sorted(probs, reverse=True)
         assert all(0.0 <= p <= 1.0 for p in probs)
 
-    def test_symbols_match_coin_ids(self, world, collection, predictor):
+    def test_symbols_match_coin_ids(self, source, collection, predictor):
         event = self._an_event(collection)
         ranking = predictor.rank(event.channel_id, 0, event.time)
         for score in ranking.top(5):
-            assert world.coins.symbols[score.coin_id] == score.symbol
+            assert source.coins.symbols[score.coin_id] == score.symbol
 
     def test_rank_of_returns_position(self, collection, predictor):
         event = self._an_event(collection)

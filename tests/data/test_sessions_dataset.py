@@ -15,6 +15,7 @@ from repro.data import (
     sessionize,
 )
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.types import Message
 from repro.utils import ReproConfig
 
@@ -90,7 +91,7 @@ class TestExtractionOnWorld:
 
     @pytest.fixture(scope="class")
     def result(self, world):
-        return collect(world, n_label=600)
+        return collect(SyntheticWorldSource(world), n_label=600)
 
     def test_recall_of_true_events(self, world, result):
         """The pipeline recovers a large share of ground-truth samples."""
@@ -126,12 +127,12 @@ class TestExtractionOnWorld:
 
 class TestTargetCoinDataset:
     @pytest.fixture(scope="class")
-    def world(self):
-        return SyntheticWorld.generate(CFG)
+    def source(self):
+        return SyntheticWorldSource(SyntheticWorld.generate(CFG))
 
     @pytest.fixture(scope="class")
-    def dataset(self, world):
-        return collect(world, n_label=600).dataset
+    def dataset(self, source):
+        return collect(source, n_label=600).dataset
 
     def test_split_proportions_roughly_paper(self, dataset):
         table = dataset.table4()
@@ -183,6 +184,6 @@ class TestTargetCoinDataset:
         assert stats["cold_positives"] > 0
         assert stats["cold_positives"] + stats["warm_positives"] == stats["test_positives"]
 
-    def test_too_few_positives_rejected(self, world):
+    def test_too_few_positives_rejected(self, source):
         with pytest.raises(ValueError):
-            TargetCoinDataset.build(world, [], exchange_id=0, pair="BTC")
+            TargetCoinDataset.build(source, [], exchange_id=0, pair="BTC")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import PnDSample, collect
 from repro.features import (
@@ -14,7 +16,9 @@ from repro.features import (
     market_feature_matrix,
     pad_coin_id,
 )
-from repro.simulation import SyntheticWorld
+from repro.markets import pump_candidates
+from repro.simulation import SyntheticWorld, generate_phase_world
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()
@@ -27,8 +31,9 @@ def world():
 
 @pytest.fixture(scope="module")
 def assembled(world):
-    result = collect(world, n_label=600)
-    return FeatureAssembler(world, result.dataset).assemble()
+    source = SyntheticWorldSource(world)
+    result = collect(source, n_label=600)
+    return FeatureAssembler(source, result.dataset).assemble()
 
 
 class TestCoinFeatures:
@@ -142,3 +147,43 @@ class TestAssembler:
         lists = split.ranking_lists(scores)
         for arr in lists:
             assert arr[:, 1].sum() == 1
+
+
+@pytest.fixture(scope="module", params=("plain", "phase"))
+def message_only_assembler(request, world):
+    """An assembler without signal channels over the plain tiny world or
+    the phase-overlay world."""
+    if request.param == "phase":
+        world = generate_phase_world(CFG.with_(horizon_hours=2600))
+    source = SyntheticWorldSource(world)
+    return FeatureAssembler(source, collect(source, n_label=600).dataset)
+
+
+class TestCandidateBlockRows:
+    """A coin's channel-independent row does not depend on which coins
+    share the call, so a training list (the positive plus sampled
+    negatives) and a served ranking (every candidate) give it the same
+    features."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_row_is_the_same_alone_in_any_subset_and_in_full(
+            self, message_only_assembler, data):
+        assembler = message_only_assembler
+        event = data.draw(st.sampled_from(
+            [e for e in assembler.dataset.examples if e.label == 1]
+        ))
+        coins = pump_candidates(assembler.source.coins, 0, event.time)
+        full = assembler.candidate_block(coins, event.time)
+        picked = data.draw(st.lists(
+            st.integers(0, len(coins) - 1), min_size=1, unique=True,
+        ))
+        np.testing.assert_array_equal(
+            assembler.candidate_block(coins[picked], event.time),
+            full[picked],
+        )
+        alone = picked[0]
+        np.testing.assert_array_equal(
+            assembler.candidate_block(coins[[alone]], event.time)[0],
+            full[alone],
+        )

@@ -23,25 +23,26 @@ from repro.gateway import GatewayClient, serve_in_thread
 from repro.registry import ModelRegistry
 from repro.serving import Announcement, PredictionService
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 GATEWAY_ARCHS = ("snn", "dnn", "gru", "tcn")
 
 
 @pytest.fixture(scope="session")
-def gw_world():
-    return SyntheticWorld.generate(ReproConfig.tiny())
+def gw_source():
+    return SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
 
 
 @pytest.fixture(scope="session")
-def gw_collection(gw_world):
-    return collect(gw_world)
+def gw_collection(gw_source):
+    return collect(gw_source)
 
 
 @pytest.fixture(scope="session")
-def gw_registry(gw_world, gw_collection, tmp_path_factory) -> ModelRegistry:
+def gw_registry(gw_source, gw_collection, tmp_path_factory) -> ModelRegistry:
     """A registry holding one briefly trained artifact per architecture."""
-    assembler = FeatureAssembler(gw_world, gw_collection.dataset)
+    assembler = FeatureAssembler(gw_source, gw_collection.dataset)
     assembled = assembler.assemble()
     registry = ModelRegistry(tmp_path_factory.mktemp("gateway-registry"))
     for name in GATEWAY_ARCHS:
@@ -50,7 +51,7 @@ def gw_registry(gw_world, gw_collection, tmp_path_factory) -> ModelRegistry:
             model, assembled.train, assembled.validation
         )
         predictor = TargetCoinPredictor(
-            gw_world, gw_collection.dataset, model, assembler
+            gw_source, gw_collection.dataset, model, assembler
         )
         registry.publish(predictor, name, provenance={"model": name})
     return registry
@@ -78,11 +79,11 @@ def make_announcements(positives, n: int, *,
     ]
 
 
-def service_from(registry: ModelRegistry, name: str, world,
+def service_from(registry: ModelRegistry, name: str, source,
                  collection) -> PredictionService:
     """A fresh service booted from the registry's latest ``name``."""
     return PredictionService.from_artifact(
-        registry.resolve(name), world, collection.dataset
+        registry.resolve(name), source, collection.dataset
     )
 
 

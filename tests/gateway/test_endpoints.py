@@ -9,8 +9,8 @@ from tests.gateway.conftest import make_announcements, service_from
 
 
 @pytest.fixture
-def running(gw_world, gw_collection, gw_registry, gateway):
-    service = service_from(gw_registry, "snn", gw_world, gw_collection)
+def running(gw_source, gw_collection, gw_registry, gateway):
+    service = service_from(gw_registry, "snn", gw_source, gw_collection)
     app = GatewayApp(service, registry=gw_registry)
     server, client = gateway(app)
     return app, server, client
@@ -96,12 +96,12 @@ class TestObserve:
         assert response.channel_id == announcement.channel_id
         assert response.history_length == before + 1
 
-    def test_observed_history_changes_later_rankings(self, gw_world,
+    def test_observed_history_changes_later_rankings(self, gw_source,
                                                      gw_collection,
                                                      gw_registry, gateway,
                                                      test_positives):
-        service = service_from(gw_registry, "snn", gw_world, gw_collection)
-        witness = service_from(gw_registry, "snn", gw_world, gw_collection)
+        service = service_from(gw_registry, "snn", gw_source, gw_collection)
+        witness = service_from(gw_registry, "snn", gw_source, gw_collection)
         _server, client = gateway(GatewayApp(service, registry=gw_registry))
         base = make_announcements(test_positives, 2)
         probe = Announcement(

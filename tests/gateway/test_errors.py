@@ -33,10 +33,10 @@ def raw_request(server, method: str, path: str, body: bytes | None = None,
 
 
 @pytest.fixture(scope="module")
-def served(gw_world, gw_collection, gw_registry):
+def served(gw_source, gw_collection, gw_registry):
     from repro.gateway import serve_in_thread
 
-    service = service_from(gw_registry, "dnn", gw_world, gw_collection)
+    service = service_from(gw_registry, "dnn", gw_source, gw_collection)
     app = GatewayApp(service, registry=gw_registry, max_batch=4)
     server, _thread = serve_in_thread(app)
     yield server
@@ -128,12 +128,12 @@ class TestDomainRefusals:
         assert exc.value.code == "no_candidates"
         assert exc.value.status == 422
 
-    def test_rank_batch_is_all_or_nothing(self, gw_world, gw_collection,
+    def test_rank_batch_is_all_or_nothing(self, gw_source, gw_collection,
                                           gw_registry, gateway,
                                           test_positives, tmp_path):
         store = SQLiteEventStore(tmp_path / "events.db")
         service = PredictionService.from_artifact(
-            gw_registry.resolve("dnn"), gw_world, gw_collection.dataset,
+            gw_registry.resolve("dnn"), gw_source, gw_collection.dataset,
             store=store,
         )
         _server, client = gateway(GatewayApp(service))
@@ -160,9 +160,9 @@ class TestDomainRefusals:
         assert exc.value.code == "unknown_model"
         assert exc.value.status == 404
 
-    def test_reload_without_registry(self, gw_world, gw_collection,
+    def test_reload_without_registry(self, gw_source, gw_collection,
                                      gw_registry, gateway):
-        service = service_from(gw_registry, "dnn", gw_world, gw_collection)
+        service = service_from(gw_registry, "dnn", gw_source, gw_collection)
         _server, client = gateway(GatewayApp(service, registry=None))
         with pytest.raises(GatewayRequestError) as exc:
             client.reload("dnn")

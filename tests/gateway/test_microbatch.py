@@ -123,15 +123,15 @@ class TestMicroBatcherMechanics:
 
 
 @pytest.fixture(scope="module")
-def solo_service(gw_registry, gw_world, gw_collection) -> PredictionService:
+def solo_service(gw_registry, gw_source, gw_collection) -> PredictionService:
     """The reference: in-process scoring, one announcement at a time."""
-    return service_from(gw_registry, "dnn", gw_world, gw_collection)
+    return service_from(gw_registry, "dnn", gw_source, gw_collection)
 
 
 @pytest.fixture(scope="module")
-def batched_app(gw_registry, gw_world, gw_collection) -> GatewayApp:
+def batched_app(gw_registry, gw_source, gw_collection) -> GatewayApp:
     return GatewayApp(
-        service_from(gw_registry, "dnn", gw_world, gw_collection))
+        service_from(gw_registry, "dnn", gw_source, gw_collection))
 
 
 class TestCoalescedParity:

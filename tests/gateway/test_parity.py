@@ -23,10 +23,10 @@ def exact(ranking):
 
 
 @pytest.mark.parametrize("arch", GATEWAY_ARCHS)
-def test_rank_and_batch_parity(arch, gw_world, gw_collection, gw_registry,
+def test_rank_and_batch_parity(arch, gw_source, gw_collection, gw_registry,
                                gateway, test_positives):
-    local = service_from(gw_registry, arch, gw_world, gw_collection)
-    remote = service_from(gw_registry, arch, gw_world, gw_collection)
+    local = service_from(gw_registry, arch, gw_source, gw_collection)
+    remote = service_from(gw_registry, arch, gw_source, gw_collection)
     _server, client = gateway(GatewayApp(remote, registry=gw_registry))
 
     announcements = make_announcements(test_positives,
@@ -51,11 +51,11 @@ def test_rank_and_batch_parity(arch, gw_world, gw_collection, gw_registry,
         assert exact(over_the_wire.ranking) == exact(in_process.ranking)
 
 
-def test_parity_survives_observe(gw_world, gw_collection, gw_registry,
+def test_parity_survives_observe(gw_source, gw_collection, gw_registry,
                                  gateway, test_positives):
     """/v1/observe and in-process observe() leave identical state behind."""
-    local = service_from(gw_registry, "snn", gw_world, gw_collection)
-    remote = service_from(gw_registry, "snn", gw_world, gw_collection)
+    local = service_from(gw_registry, "snn", gw_source, gw_collection)
+    remote = service_from(gw_registry, "snn", gw_source, gw_collection)
     _server, client = gateway(GatewayApp(remote, registry=gw_registry))
 
     announcements = make_announcements(test_positives, 2)

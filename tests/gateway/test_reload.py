@@ -32,22 +32,22 @@ def exact(ranking):
 
 
 @pytest.fixture
-def references(gw_world, gw_collection, gw_registry, test_positives):
+def references(gw_source, gw_collection, gw_registry, test_positives):
     probe = stateless_probe(test_positives)
-    old = service_from(gw_registry, "snn", gw_world, gw_collection)
-    new = service_from(gw_registry, "dnn", gw_world, gw_collection)
+    old = service_from(gw_registry, "snn", gw_source, gw_collection)
+    new = service_from(gw_registry, "dnn", gw_source, gw_collection)
     return probe, exact(old.rank_one(probe).ranking), \
         exact(new.rank_one(probe).ranking)
 
 
-def test_hot_swap_drops_and_corrupts_nothing(gw_world, gw_collection,
+def test_hot_swap_drops_and_corrupts_nothing(gw_source, gw_collection,
                                              gw_registry, gateway,
                                              references):
     probe, expected_old, expected_new = references
     assert expected_old != expected_new, \
         "reference models must be distinguishable for this test to bite"
 
-    service = service_from(gw_registry, "snn", gw_world, gw_collection)
+    service = service_from(gw_registry, "snn", gw_source, gw_collection)
     app = GatewayApp(service, registry=gw_registry)
     _server, client = gateway(app)
 
@@ -92,7 +92,7 @@ def test_hot_swap_drops_and_corrupts_nothing(gw_world, gw_collection,
 
 
 def test_reload_of_corrupt_artifact_leaves_champion_serving(
-        gw_world, gw_collection, gw_registry, gateway, test_positives,
+        gw_source, gw_collection, gw_registry, gateway, test_positives,
         tmp_path):
     """Regression (ISSUE 7 satellite): a tampered artifact must be a
     structured refusal, never a half-swapped or crashed gateway."""
@@ -109,7 +109,7 @@ def test_reload_of_corrupt_artifact_leaves_champion_serving(
     shutil.copytree(source, mangled)
     (mangled / "weights.npz").write_bytes(b"not an npz archive at all")
 
-    service = service_from(gw_registry, "snn", gw_world, gw_collection)
+    service = service_from(gw_registry, "snn", gw_source, gw_collection)
     app = GatewayApp(service, registry=gw_registry)
     _server, client = gateway(app)
 
@@ -131,10 +131,10 @@ def test_reload_of_corrupt_artifact_leaves_champion_serving(
     assert client.reload("dnn").model["name"] == "dnn"
 
 
-def test_reload_carries_streamed_history_across(gw_world, gw_collection,
+def test_reload_carries_streamed_history_across(gw_source, gw_collection,
                                                 gw_registry, gateway,
                                                 test_positives):
-    service = service_from(gw_registry, "snn", gw_world, gw_collection)
+    service = service_from(gw_registry, "snn", gw_source, gw_collection)
     app = GatewayApp(service, registry=gw_registry)
     _server, client = gateway(app)
 
@@ -146,7 +146,7 @@ def test_reload_carries_streamed_history_across(gw_world, gw_collection,
 
     # Reference: a fresh dnn service given the same observation agrees
     # bit-for-bit with the post-swap gateway.
-    witness = service_from(gw_registry, "dnn", gw_world, gw_collection)
+    witness = service_from(gw_registry, "dnn", gw_source, gw_collection)
     witness.observe(observed)
     probe = Announcement(channel_id=observed.channel_id, coin_id=-1,
                          exchange_id=0, pair="BTC",

@@ -28,21 +28,21 @@ def exact(ranking):
 
 
 @pytest.fixture(scope="module")
-def local_result(gw_world, gw_collection, gw_registry):
+def local_result(gw_source, gw_collection, gw_registry):
     predictor = TargetCoinPredictor.from_artifact(
-        gw_registry.resolve("snn"), gw_world, gw_collection.dataset
+        gw_registry.resolve("snn"), gw_source, gw_collection.dataset
     )
-    return replay_test_period(gw_world, gw_collection, predictor)
+    return replay_test_period(gw_source, gw_collection, predictor)
 
 
-def test_remote_replay_matches_local_engine(gw_world, gw_collection,
+def test_remote_replay_matches_local_engine(gw_source, gw_collection,
                                             gw_registry, gateway,
                                             local_result):
-    service = service_from(gw_registry, "snn", gw_world, gw_collection)
+    service = service_from(gw_registry, "snn", gw_source, gw_collection)
     _server, client = gateway(GatewayApp(service, registry=gw_registry))
     sink = CollectingSink()
     remote_result = replay_against_gateway(
-        gw_world, gw_collection, client, sinks=(sink,)
+        gw_source, gw_collection, client, sinks=(sink,)
     )
 
     assert len(remote_result.alerts) == len(local_result.alerts) > 0
@@ -63,7 +63,7 @@ def test_remote_replay_matches_local_engine(gw_world, gw_collection,
     assert stats["announcements"] >= len(remote_result.alerts)
 
 
-def test_local_gate_and_remote_fallback_skip_alike(gw_world, gw_collection,
+def test_local_gate_and_remote_fallback_skip_alike(gw_source, gw_collection,
                                                    gw_registry, gateway,
                                                    test_positives):
     """One instant, three announcements: one on a known channel, one on
@@ -83,13 +83,13 @@ def test_local_gate_and_remote_fallback_skip_alike(gw_world, gw_collection,
     # Nothing is listed before hour 0: no candidates.
     times = {2: -1.0}
 
-    local = build_engine(gw_world, gw_collection, gw_registry.resolve("snn"))
+    local = build_engine(gw_source, gw_collection, gw_registry.resolve("snn"))
     local.detector = _AlwaysPumpDetector()
     local.sessionizer = _OneShotSessionizer(times)
     local_result = local.run(MessageStream.replay(messages))
 
     _server, client = gateway(GatewayApp(
-        service_from(gw_registry, "snn", gw_world, gw_collection)))
+        service_from(gw_registry, "snn", gw_source, gw_collection)))
     stats = ServiceStats()
     remote = StreamEngine(_AlwaysPumpDetector(), _OneShotSessionizer(times),
                           remote_ranker(client, stats), stats=stats)

@@ -25,9 +25,9 @@ from tests.gateway.conftest import make_announcements, service_from
 
 
 @pytest.fixture
-def observed(gw_world, gw_collection, gw_registry, gateway):
+def observed(gw_source, gw_collection, gw_registry, gateway):
     """A gateway with a capturing logger and slow_ms=0 (trace everything)."""
-    service = service_from(gw_registry, "snn", gw_world, gw_collection)
+    service = service_from(gw_registry, "snn", gw_source, gw_collection)
     hub = TelemetryHub(logger=CapturingLogger(), slow_ms=0.0)
     app = GatewayApp(service, registry=gw_registry, telemetry=hub)
     server, client = gateway(app)
@@ -221,13 +221,13 @@ class TestStructuredLogs:
 
 
 class TestParityUnderTelemetry:
-    def test_rankings_bit_identical_with_tracing_on(self, gw_world,
+    def test_rankings_bit_identical_with_tracing_on(self, gw_source,
                                                     gw_collection,
                                                     gw_registry, gateway,
                                                     test_positives):
         """Instrumentation must never perturb scores (acceptance)."""
-        local = service_from(gw_registry, "snn", gw_world, gw_collection)
-        remote = service_from(gw_registry, "snn", gw_world, gw_collection)
+        local = service_from(gw_registry, "snn", gw_source, gw_collection)
+        remote = service_from(gw_registry, "snn", gw_source, gw_collection)
         hub = TelemetryHub(logger=CapturingLogger(), slow_ms=0.0)
         _server, client = gateway(
             GatewayApp(remote, registry=gw_registry, telemetry=hub)

@@ -22,18 +22,19 @@ from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.nn import get_compiled
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="module")
 def pipeline():
-    world = SyntheticWorld.generate(ReproConfig.tiny())
-    collection = collect(world)
-    assembler = FeatureAssembler(world, collection.dataset)
+    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
+    collection = collect(source)
+    assembler = FeatureAssembler(source, collection.dataset)
     assembled = assembler.assemble()
     model = make_model("snn", snn_config_for(assembled), seed=0)
     Trainer(epochs=3, seed=0).fit(model, assembled.train, assembled.validation)
-    return world, collection, assembler, assembled, model
+    return source, collection, assembler, assembled, model
 
 
 def test_predict_scores_compiled_equals_eager_bitwise(pipeline):
@@ -59,8 +60,8 @@ def test_hr_metrics_and_ranking_order_identical(pipeline):
 
 
 def test_predictor_rank_uses_shared_plan_and_matches_eager(pipeline):
-    world, collection, assembler, _, model = pipeline
-    predictor = TargetCoinPredictor(world, collection.dataset, model,
+    source, collection, assembler, _, model = pipeline
+    predictor = TargetCoinPredictor(source, collection.dataset, model,
                                     assembler=assembler)
     event = next(
         e for e in collection.dataset.examples

@@ -25,6 +25,7 @@ from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.forecasting import BTCForecastDataset, make_forecaster, train_forecaster
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 CFG = ReproConfig.tiny()
@@ -37,7 +38,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def collection(world):
-    return collect(world)
+    return collect(SyntheticWorldSource(world))
 
 
 class TestCrossStageInvariants:
@@ -70,7 +71,8 @@ class TestCrossStageInvariants:
 
 class TestFullRun:
     def test_pipeline_to_model_to_analysis(self, world, collection):
-        assembled = FeatureAssembler(world, collection.dataset).assemble()
+        assembled = FeatureAssembler(SyntheticWorldSource(world),
+                                     collection.dataset).assemble()
         model = make_model("snn", snn_config_for(assembled), seed=0)
         Trainer(epochs=4, seed=0).fit(model, assembled.train,
                                       assembled.validation)
@@ -99,8 +101,8 @@ class TestFullRun:
         assert np.isfinite(result.mae)
 
     def test_world_determinism_through_pipeline(self):
-        first = collect(SyntheticWorld.generate(CFG))
-        second = collect(SyntheticWorld.generate(CFG))
+        first = collect(SyntheticWorldSource(SyntheticWorld.generate(CFG)))
+        second = collect(SyntheticWorldSource(SyntheticWorld.generate(CFG)))
         assert [
             (s.channel_id, s.coin_id, s.time) for s in first.samples
         ] == [

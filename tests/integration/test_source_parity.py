@@ -4,8 +4,7 @@
 verbatim — subscribers read straight off the world's channel population,
 market queries straight off ``world.market`` — and every array it
 produces must match the source-mediated assembler bit for bit.  The same
-must hold for rankings and HR@k of all four deep ranker families, whether
-the predictor is handed the bare world (coerced) or the explicit adapter.
+must hold for the scores and HR@k of all four deep ranker families.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 from repro.core import (
     HR_KS,
-    TargetCoinPredictor,
     Trainer,
     evaluate_scores,
     make_model,
@@ -41,15 +39,18 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def collection(world):
-    return collect(world)
+def source(world):
+    return SyntheticWorldSource(world)
 
 
 @pytest.fixture(scope="module")
-def source_assembled(world, collection):
-    return FeatureAssembler(
-        SyntheticWorldSource(world), collection.dataset
-    ).assemble()
+def collection(source):
+    return collect(source)
+
+
+@pytest.fixture(scope="module")
+def source_assembled(source, collection):
+    return FeatureAssembler(source, collection.dataset).assemble()
 
 
 def _assemble_direct(world, dataset):
@@ -133,14 +134,6 @@ class TestAssembledFeatureParity:
                 )
         assert source_assembled.n_coin_ids == direct["n_coin_ids"]
 
-    def test_world_coercion_equals_explicit_adapter(self, world, collection,
-                                                    source_assembled):
-        coerced = FeatureAssembler(world, collection.dataset).assemble()
-        for split_name in ("train", "validation", "test"):
-            a, b = coerced.split(split_name), source_assembled.split(split_name)
-            np.testing.assert_array_equal(a.numeric, b.numeric)
-            np.testing.assert_array_equal(a.seq_numeric, b.seq_numeric)
-
 
 class TestRankerFamilyParity:
     @pytest.mark.parametrize("name", RANKER_FAMILIES)
@@ -171,15 +164,3 @@ class TestRankerFamilyParity:
         direct_scores = predict_scores(model, direct_test)
         np.testing.assert_array_equal(scores, direct_scores)
         assert evaluate_scores(direct_test, direct_scores, HR_KS) == hr_source
-
-        # Predictor parity: bare world (coerced) vs explicit adapter.
-        via_world = TargetCoinPredictor(world, collection.dataset, model)
-        via_source = TargetCoinPredictor(
-            SyntheticWorldSource(world), collection.dataset, model
-        )
-        example = next(e for e in collection.dataset.examples
-                       if e.split == "test" and e.label == 1)
-        rank_a = via_world.rank(example.channel_id, 0, example.time)
-        rank_b = via_source.rank(example.channel_id, 0, example.time)
-        assert [(s.coin_id, s.probability) for s in rank_a.scores] == \
-            [(s.coin_id, s.probability) for s in rank_b.scores]

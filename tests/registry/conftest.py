@@ -18,22 +18,23 @@ from repro.core import (
 from repro.data import collect
 from repro.features import FeatureAssembler
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="session")
-def reg_world():
-    return SyntheticWorld.generate(ReproConfig.tiny())
+def reg_source():
+    return SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
 
 
 @pytest.fixture(scope="session")
-def reg_collection(reg_world):
-    return collect(reg_world)
+def reg_collection(reg_source):
+    return collect(reg_source)
 
 
 @pytest.fixture(scope="session")
-def reg_assembler(reg_world, reg_collection):
-    return FeatureAssembler(reg_world, reg_collection.dataset)
+def reg_assembler(reg_source, reg_collection):
+    return FeatureAssembler(reg_source, reg_collection.dataset)
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +43,8 @@ def reg_assembled(reg_assembler):
 
 
 @pytest.fixture(scope="session")
-def trained_predictors(reg_world, reg_collection, reg_assembler, reg_assembled):
+def trained_predictors(reg_source, reg_collection, reg_assembler,
+                       reg_assembled):
     """One briefly trained predictor per ranker family (SNN/DNN/RNN/TCN)."""
     predictors = {}
     for name in ("snn", "dnn", "gru", "tcn"):
@@ -51,6 +53,6 @@ def trained_predictors(reg_world, reg_collection, reg_assembler, reg_assembled):
             model, reg_assembled.train, reg_assembled.validation
         )
         predictors[name] = TargetCoinPredictor(
-            reg_world, reg_collection.dataset, model, reg_assembler
+            reg_source, reg_collection.dataset, model, reg_assembler
         )
     return predictors

@@ -45,11 +45,11 @@ def _test_requests(dataset, count=2):
 @pytest.mark.parametrize("arch", ARCHES)
 class TestRoundTrip:
     def test_rank_scores_bit_for_bit(self, arch, trained_predictors,
-                                     reg_world, reg_collection, tmp_path):
+                                     reg_source, reg_collection, tmp_path):
         predictor = trained_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
         rebuilt = TargetCoinPredictor.from_artifact(
-            tmp_path / arch, reg_world, reg_collection.dataset
+            tmp_path / arch, reg_source, reg_collection.dataset
         )
         request = _test_requests(reg_collection.dataset, count=1)[0]
         original = predictor.rank(request.channel_id, 0, request.pump_time)
@@ -60,11 +60,11 @@ class TestRoundTrip:
             [s.probability for s in reloaded.scores]
 
     def test_rank_many_bit_for_bit(self, arch, trained_predictors,
-                                   reg_world, reg_collection, tmp_path):
+                                   reg_source, reg_collection, tmp_path):
         predictor = trained_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
         rebuilt = TargetCoinPredictor.from_artifact(
-            tmp_path / arch, reg_world, reg_collection.dataset
+            tmp_path / arch, reg_source, reg_collection.dataset
         )
         requests = _test_requests(reg_collection.dataset, count=2)
         for original, reloaded in zip(predictor.rank_many(requests),
@@ -72,12 +72,12 @@ class TestRoundTrip:
             assert [(s.coin_id, s.probability) for s in original.scores] == \
                 [(s.coin_id, s.probability) for s in reloaded.scores]
 
-    def test_hr_at_k_identical(self, arch, trained_predictors, reg_world,
+    def test_hr_at_k_identical(self, arch, trained_predictors, reg_source,
                                reg_collection, reg_assembled, tmp_path):
         predictor = trained_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
         rebuilt = TargetCoinPredictor.from_artifact(
-            tmp_path / arch, reg_world, reg_collection.dataset
+            tmp_path / arch, reg_source, reg_collection.dataset
         )
         original = predict_scores(predictor.model, reg_assembled.test)
         reloaded = predict_scores(rebuilt.model, reg_assembled.test)
@@ -174,14 +174,14 @@ class TestArtifactContents:
         assert leftovers == []
 
     def test_to_artifact_from_artifact_pair(self, trained_predictors,
-                                            reg_world, reg_collection):
+                                            reg_source, reg_collection):
         from repro.core import TargetCoinPredictor
 
         predictor = trained_predictors["snn"]
         artifact = predictor.to_artifact(provenance={"via": "method"})
         assert isinstance(artifact, PredictorArtifact)
         rebuilt = TargetCoinPredictor.from_artifact(
-            artifact, reg_world, reg_collection.dataset
+            artifact, reg_source, reg_collection.dataset
         )
         request = _test_requests(reg_collection.dataset, count=1)[0]
         assert [s.probability
@@ -310,15 +310,15 @@ class TestFailureModes:
         with pytest.raises(ArtifactError, match="bare-weights"):
             load_artifact(path)
 
-    def test_vocabulary_drift_rejected(self, saved, reg_world,
+    def test_vocabulary_drift_rejected(self, saved, reg_source,
                                        reg_collection):
         artifact = load_artifact(saved)
         dropped = next(iter(artifact.channel_index))
         del artifact.channel_index[dropped]
         with pytest.raises(ArtifactError, match="vocabulary drift"):
-            artifact.to_predictor(reg_world, reg_collection.dataset)
+            artifact.to_predictor(reg_source, reg_collection.dataset)
 
-    def test_tampered_subscribers_rejected(self, saved, reg_world,
+    def test_tampered_subscribers_rejected(self, saved, reg_source,
                                            reg_collection):
         # Subscribers feed the channel feature directly: manifest drift
         # must be a diagnostic, never silently different scores.
@@ -328,7 +328,7 @@ class TestFailureModes:
         (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
         artifact = load_artifact(saved)
         with pytest.raises(ArtifactError, match="subscriber"):
-            artifact.to_predictor(reg_world, reg_collection.dataset)
+            artifact.to_predictor(reg_source, reg_collection.dataset)
 
 
 class TestLegacySerialize:

@@ -194,14 +194,14 @@ class TestResolution:
         assert entries[0].provenance["scale"] == "tiny"
         assert entries[0].n_parameters > 0
 
-    def test_load_serves(self, trained_predictors, reg_world, reg_collection,
+    def test_load_serves(self, trained_predictors, reg_source, reg_collection,
                          tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
         registry.publish(trained_predictors["dnn"], "dnn")
         artifact = registry.load("dnn")
         assert isinstance(artifact, PredictorArtifact)
         service = PredictionService.from_artifact(
-            artifact, reg_world, reg_collection.dataset
+            artifact, reg_source, reg_collection.dataset
         )
         channel = next(iter(artifact.channel_index))
         assert service.knows_channel(channel)

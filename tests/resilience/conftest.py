@@ -14,7 +14,7 @@ from tests.store.conftest import (  # noqa: F401 - registered as fixtures
     st_positives,
     st_registry,
     st_service,
-    st_world,
+    st_source,
 )
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures for the serving tests.
 
-One tiny world, its collection and a briefly trained model are built once
-per session; every serving test reuses them.
+One tiny world (and its data-source adapter), its collection and a
+briefly trained model are built once per session; every serving test
+reuses them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import pytest
 from repro.core import train_predictor
 from repro.data import collect
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
@@ -20,10 +22,15 @@ def tiny_world():
 
 
 @pytest.fixture(scope="session")
-def tiny_collection(tiny_world):
-    return collect(tiny_world)
+def tiny_source(tiny_world):
+    return SyntheticWorldSource(tiny_world)
 
 
 @pytest.fixture(scope="session")
-def tiny_predictor(tiny_world, tiny_collection):
-    return train_predictor(tiny_world, tiny_collection, epochs=2, seed=0)
+def tiny_collection(tiny_source):
+    return collect(tiny_source)
+
+
+@pytest.fixture(scope="session")
+def tiny_predictor(tiny_source, tiny_collection):
+    return train_predictor(tiny_source, tiny_collection, epochs=2, seed=0)

@@ -6,10 +6,10 @@ from repro.serving import CollectingSink, ServiceStats, replay_test_period
 
 
 @pytest.fixture(scope="module")
-def replay(tiny_world, tiny_collection, tiny_predictor):
+def replay(tiny_source, tiny_collection, tiny_predictor):
     sink = CollectingSink()
     result = replay_test_period(
-        tiny_world, tiny_collection, tiny_predictor, sinks=(sink,),
+        tiny_source, tiny_collection, tiny_predictor, sinks=(sink,),
         bucket_hours=0.0,  # exact feature times: directly comparable reruns
     )
     return result, sink
@@ -55,11 +55,11 @@ class TestReplayTestPeriod:
             assert len(probs) == len(expected)
 
     def test_replay_is_deterministic_with_or_without_cache(
-            self, tiny_world, tiny_collection, tiny_predictor, replay):
+            self, tiny_source, tiny_collection, tiny_predictor, replay):
         """Caching must not change a single emitted probability."""
         baseline, _ = replay
         rerun = replay_test_period(
-            tiny_world, tiny_collection, tiny_predictor,
+            tiny_source, tiny_collection, tiny_predictor,
             bucket_hours=0.0, cache_entries=0,
         )
         assert rerun.stats.cache_hits == 0

@@ -19,11 +19,11 @@ def artifact(tiny_predictor):
 
 
 @pytest.fixture
-def fresh_service(artifact, tiny_world, tiny_collection):
+def fresh_service(artifact, tiny_source, tiny_collection):
     """Factory for services that share no cache with any other."""
 
     def build() -> PredictionService:
-        return PredictionService.from_artifact(artifact, tiny_world,
+        return PredictionService.from_artifact(artifact, tiny_source,
                                                tiny_collection.dataset)
 
     return build

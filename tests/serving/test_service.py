@@ -19,7 +19,7 @@ def test_positives(tiny_collection):
 
 
 @pytest.fixture(scope="module", params=("gru", "lstm", "tcn"))
-def gemm_predictor(request, tiny_world, tiny_collection, tiny_predictor):
+def gemm_predictor(request, tiny_source, tiny_collection, tiny_predictor):
     """A predictor whose sequence encoder runs BLAS matrix products.
 
     Untrained weights are enough for a parity check; the scalers are
@@ -27,8 +27,8 @@ def gemm_predictor(request, tiny_world, tiny_collection, tiny_predictor):
     """
     model = make_model(request.param, tiny_predictor.model.config, seed=0)
     return TargetCoinPredictor(
-        tiny_world, tiny_collection.dataset, model,
-        FeatureAssembler(tiny_world, tiny_collection.dataset),
+        tiny_source, tiny_collection.dataset, model,
+        FeatureAssembler(tiny_source, tiny_collection.dataset),
         scalers=(tiny_predictor._numeric_scaler, tiny_predictor._seq_scaler),
     )
 

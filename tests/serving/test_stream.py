@@ -44,8 +44,8 @@ class TestMessageStream:
         with pytest.raises(ValueError, match="backwards"):
             list(stream)
 
-    def test_replay_from_world(self, tiny_world):
-        stream = MessageStream.replay(tiny_world, start=100.0, stop=200.0)
+    def test_replay_from_world(self, tiny_source):
+        stream = MessageStream.replay(tiny_source, start=100.0, stop=200.0)
         times = [m.time for m in stream]
         assert times == sorted(times)
         assert all(100.0 <= t < 200.0 for t in times)

@@ -1,8 +1,8 @@
 """Shared fixtures for the data-source tests.
 
 A short-horizon tiny world keeps its exported candle grid (and therefore
-the dump round-trips) small; the world, its collection and a canonical
-dump are built once per session.
+the dump round-trips) small; the world, its data-source adapter, its
+collection and a canonical dump are built once per session.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import pytest
 
 from repro.data import collect
 from repro.simulation import SyntheticWorld
-from repro.sources import export_synthetic_dump
+from repro.sources import SyntheticWorldSource, export_synthetic_dump
 from repro.utils import ReproConfig
 
 
@@ -21,8 +21,13 @@ def short_world():
 
 
 @pytest.fixture(scope="session")
-def short_collection(short_world):
-    return collect(short_world)
+def short_source(short_world):
+    return SyntheticWorldSource(short_world)
+
+
+@pytest.fixture(scope="session")
+def short_collection(short_source):
+    return collect(short_source)
 
 
 @pytest.fixture(scope="session")

@@ -85,13 +85,13 @@ class TestServeFromRegistry:
 
 
 class TestCrossBackendServing:
-    def test_synthetic_trained_artifact_serves_the_dump(self, short_world,
+    def test_synthetic_trained_artifact_serves_the_dump(self, short_source,
                                                         short_collection,
                                                         file_source,
                                                         file_collection,
                                                         tmp_path_factory):
         """Train once on the simulator, serve the recorded file dump."""
-        predictor = train_predictor(short_world, short_collection,
+        predictor = train_predictor(short_source, short_collection,
                                     model="dnn", epochs=1, seed=0)
         path = predictor.to_artifact().save(
             tmp_path_factory.mktemp("cross") / "artifact"

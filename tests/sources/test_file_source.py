@@ -12,7 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.sources import FileDatasetSource, SourceDataError, as_source
+from repro.sources import FileDatasetSource, SourceDataError
 
 
 def _clone(dump_dir, tmp_path, name="clone"):
@@ -211,7 +211,7 @@ class TestFeatureSafety:
         """Assembling features for a time the dump does not cover fails."""
         from repro.features import coin_feature_matrix
 
-        source = as_source(FileDatasetSource(dump_dir))
+        source = FileDatasetSource(dump_dir)
         coin = np.array([int(source.coins.listed_coins(0, 1e9)[0])])
         with pytest.raises(SourceDataError):
             coin_feature_matrix(source.market, coin, 10**7)

@@ -1,4 +1,4 @@
-"""The protocol seam: coercion, adapter surface, descriptors."""
+"""The protocol seam: adapter surface, descriptors."""
 
 from __future__ import annotations
 
@@ -11,43 +11,30 @@ from repro.sources import (
     MarketDataSource,
     SourceDataError,
     SyntheticWorldSource,
-    as_source,
     parse_source_spec,
 )
 
 
-class TestAsSource:
-    def test_world_is_wrapped(self, short_world):
-        source = as_source(short_world)
-        assert isinstance(source, SyntheticWorldSource)
-        assert source.kind == "synthetic"
-        assert source.world is short_world
-
-    def test_source_passes_through(self, short_world):
-        source = as_source(short_world)
-        assert as_source(source) is source
-
-    def test_rejects_garbage(self):
-        with pytest.raises(TypeError, match="cannot build a data source"):
-            as_source(42)
-
-
 class TestSyntheticAdapter:
-    def test_zero_copy_components(self, short_world):
-        source = as_source(short_world)
-        assert source.market is short_world.market
-        assert source.coins is short_world.coins
-        assert source.channels is short_world.channels
-        assert list(source.messages()) == list(short_world.messages)
+    def test_zero_copy_components(self, short_world, short_source):
+        assert short_source.kind == "synthetic"
+        assert short_source.world is short_world
+        assert short_source.market is short_world.market
+        assert short_source.coins is short_world.coins
+        assert short_source.channels is short_world.channels
+        assert list(short_source.messages()) == list(short_world.messages)
 
-    def test_protocol_conformance(self, short_world):
-        source = as_source(short_world)
-        assert isinstance(source.market, MarketDataSource)
-        assert isinstance(source.coins, CoinCatalog)
-        assert isinstance(source.channels, ChannelDirectory)
+    def test_rejects_non_world(self):
+        with pytest.raises(TypeError, match="wraps a SyntheticWorld"):
+            SyntheticWorldSource(42)
 
-    def test_config_knobs(self, short_world):
-        source = as_source(short_world)
+    def test_protocol_conformance(self, short_source):
+        assert isinstance(short_source.market, MarketDataSource)
+        assert isinstance(short_source.coins, CoinCatalog)
+        assert isinstance(short_source.channels, ChannelDirectory)
+
+    def test_config_knobs(self, short_world, short_source):
+        source = short_source
         config = short_world.config
         assert source.seed == config.seed
         assert source.sequence_length == config.sequence_length
@@ -57,14 +44,14 @@ class TestSyntheticAdapter:
         assert source.repro_config() is config
 
     def test_descriptor_is_stable(self, short_world):
-        a = as_source(short_world).descriptor()
-        b = as_source(short_world).descriptor()
+        a = SyntheticWorldSource(short_world).descriptor()
+        b = SyntheticWorldSource(short_world).descriptor()
         assert a == b
         assert a["backend"] == "synthetic"
         assert a["fingerprint"].startswith("synthetic:")
 
-    def test_channel_directory_protocol(self, short_world):
-        directory = as_source(short_world).channels
+    def test_channel_directory_protocol(self, short_world, short_source):
+        directory = short_source.channels
         subs = directory.subscriber_counts()
         pump_ids = {c.channel_id for c in short_world.channels.pump_channels}
         assert set(subs) == pump_ids
@@ -97,25 +84,35 @@ class TestParseSourceSpec:
 class TestMarketParity:
     """The adapter must answer market queries through the same object."""
 
-    def test_log_close_identical(self, short_world):
-        source = as_source(short_world)
+    def test_log_close_identical(self, short_world, short_source):
         coins = np.array([5, 9, 30])
         hours = np.array([100.0, 500.5, 2000.25])
         np.testing.assert_array_equal(
-            source.market.log_close(coins, hours),
+            short_source.market.log_close(coins, hours),
             short_world.market.log_close(coins, hours),
         )
 
+    # Each market query, asked about the coin ids ``ids``.
+    QUERIES = {
+        "log_close": lambda market, ids:
+            market.log_close(ids, np.full(ids.shape, 500.0)),
+        "hourly_volume": lambda market, ids:
+            market.hourly_volume(ids, np.full(ids.shape, 500.0)),
+        "typical_trade_size": lambda market, ids:
+            market.typical_trade_size(ids),
+        "trade_count_from_volume": lambda market, ids:
+            market.trade_count_from_volume(np.ones(ids.shape), ids),
+    }
+
     @pytest.mark.parametrize("backend", ["synthetic", "file"])
-    @pytest.mark.parametrize("query", ["log_close", "hourly_volume"])
-    def test_unknown_coin_ids_are_refused(self, short_world, dump_dir,
+    @pytest.mark.parametrize("query", list(QUERIES))
+    def test_unknown_coin_ids_are_refused(self, short_source, dump_dir,
                                           backend, query):
         """Both backends refuse ids outside 0..N-1 with the same error;
         the simulator used to answer -1 with another coin's numbers."""
-        source = as_source(short_world) if backend == "synthetic" \
+        source = short_source if backend == "synthetic" \
             else parse_source_spec(f"file:{dump_dir}")
-        ask = getattr(source.market, query)
         n = source.coins.n_coins
         for bad in (np.array([-1]), np.array([n]), np.array([[3], [n]])):
             with pytest.raises(SourceDataError, match="outside the catalog"):
-                ask(bad, np.full(bad.shape, 500.0))
+                self.QUERIES[query](source.market, bad)

@@ -23,22 +23,23 @@ from repro.features import FeatureAssembler
 from repro.registry import ModelRegistry
 from repro.serving import Announcement, PredictionService
 from repro.simulation import SyntheticWorld
+from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="session")
-def st_world():
-    return SyntheticWorld.generate(ReproConfig.tiny())
+def st_source():
+    return SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
 
 
 @pytest.fixture(scope="session")
-def st_collection(st_world):
-    return collect(st_world)
+def st_collection(st_source):
+    return collect(st_source)
 
 
 @pytest.fixture(scope="session")
-def st_registry(st_world, st_collection, tmp_path_factory) -> ModelRegistry:
-    assembler = FeatureAssembler(st_world, st_collection.dataset)
+def st_registry(st_source, st_collection, tmp_path_factory) -> ModelRegistry:
+    assembler = FeatureAssembler(st_source, st_collection.dataset)
     assembled = assembler.assemble()
     registry = ModelRegistry(tmp_path_factory.mktemp("store-registry"))
     for arch in ("dnn", "snn"):
@@ -47,7 +48,7 @@ def st_registry(st_world, st_collection, tmp_path_factory) -> ModelRegistry:
             model, assembled.train, assembled.validation
         )
         predictor = TargetCoinPredictor(
-            st_world, st_collection.dataset, model, assembler
+            st_source, st_collection.dataset, model, assembler
         )
         registry.publish(predictor, arch, provenance={"model": arch})
     return registry
@@ -92,12 +93,12 @@ def unobserved_ranking(make_service, probe: Announcement) -> tuple:
 
 
 @pytest.fixture
-def st_service(st_registry, st_world, st_collection):
+def st_service(st_registry, st_source, st_collection):
     """Factory: a fresh service from a session artifact."""
 
     def make(store=None, arch: str = "dnn") -> PredictionService:
         return PredictionService.from_artifact(
-            st_registry.resolve(arch), st_world, st_collection.dataset,
+            st_registry.resolve(arch), st_source, st_collection.dataset,
             store=store,
         )
 

@@ -82,7 +82,9 @@ class TestAppendsAndQueries:
         first, second = ann(time=1.0), ann(channel=2, time=2.0)
         store.append_observation(first, "e1")
         store.append_observation(second, "e2")
-        assert store.observations() == [("e1", first), ("e2", second)]
+        assert [(event_id, a) for _, event_id, a
+                in store.observations_since(0)] == [("e1", first),
+                                                    ("e2", second)]
 
     def test_alert_filters_channel_window_limit(self, store):
         for channel, time in ((1, 10.0), (1, 20.0), (2, 30.0), (1, 40.0)):
@@ -189,7 +191,10 @@ class TestNullStore:
         # Without durability every observation is "fresh".
         assert store.append_observation(ann(), "e1") is True
         assert store.append_observation(ann(), "e1") is True
-        assert store.observations() == []
+        # Each row reaches the one reader once and is then dropped.
+        assert [event_id for _, event_id, _
+                in store.observations_since(0)] == ["e1", "e1"]
+        assert store.observations_since(0) == []
         assert store.alerts() == []
         assert store.latest_stats() is None
         assert all(count == 0 for count in store.counts().values())

@@ -192,6 +192,22 @@ class TestCommands:
         assert "events" in out
         assert "synthetic world" in out
 
+    def test_collect_command(self, capsys):
+        assert main(["collect", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        assert "exploration:" in out
+        assert "detector rf: auc=" in out
+        assert "table2:" in out
+        assert "table 4" in out
+
+    def test_analyze_command(self, capsys):
+        assert main(["analyze", "--scale", "tiny"]) == 0
+        out = capsys.readouterr().out
+        assert "repump rate:" in out
+        assert "volume onset:" in out
+        assert "homogeneity[market_cap]:" in out
+        assert "semantic sim[all_coins]:" in out
+
     def test_train_command_saves_artifact(self, tmp_path, capsys):
         path = tmp_path / "dnn-artifact"
         code = main([
