@@ -615,6 +615,8 @@ def cmd_history(args) -> int:
     """Backtest-style queries against a durable event log (repro.store)."""
     from repro.store import SQLiteEventStore, StoreError
 
+    if args.history_command == "alerts" and args.top_k < 1:
+        return _fail("history", "--top-k must be >= 1")
     path = Path(args.store)
     if not path.exists():
         return _fail("history", f"no event log at {args.store}")
@@ -648,7 +650,7 @@ def cmd_history(args) -> int:
             )
             if args.json:
                 for alert in alerts:
-                    print(json.dumps(alert.to_payload(), sort_keys=True))
+                    print(alert.wire_json)
                 return 0
             if not alerts:
                 print("no alerts match")
@@ -657,7 +659,7 @@ def cmd_history(args) -> int:
             for alert in alerts:
                 top = ", ".join(
                     f"{score.symbol}:{score.probability:.4f}"
-                    for score in alert.ranking.scores[:args.top_k]
+                    for score in alert.top(args.top_k)
                 )
                 rank = alert.announced_rank
                 rows.append((
@@ -1240,7 +1242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_halerts.add_argument("--top-k", type=int, default=3,
                            help="coins shown per alert")
     p_halerts.add_argument("--json", action="store_true",
-                           help="print raw alert payloads, one per line")
+                           help="print each alert's wire JSON, one per line")
     p_halerts.set_defaults(fn=cmd_history)
     p_hr = history_sub.add_parser(
         "hr", help="hit rate @ k over the logged alerts"

@@ -17,7 +17,9 @@ predictor itself is backend-agnostic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +34,8 @@ from repro.nn import Module, no_grad, run_compiled, stable_sigmoid
 from repro.sources.base import DataSource
 from repro.telemetry import span
 from repro.utils.payload import (
+    compact_json,
+    json_strings,
     payload_float as _payload_float,
     payload_int as _payload_int,
     payload_list as _payload_list,
@@ -46,21 +50,6 @@ class CoinScore:
     coin_id: int
     symbol: str
     probability: float
-
-    def to_payload(self) -> dict:
-        """JSON-safe wire form (shared by the gateway server and client)."""
-        return {"coin_id": self.coin_id, "symbol": self.symbol,
-                "probability": self.probability}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CoinScore":
-        if not isinstance(payload, dict):
-            raise ValueError("score entry must be an object")
-        return cls(
-            coin_id=_payload_int(payload, "coin_id"),
-            symbol=_payload_str(payload, "symbol"),
-            probability=_payload_float(payload, "probability"),
-        )
 
 
 @dataclass(frozen=True)
@@ -87,24 +76,61 @@ FeaturesFn = Callable[[int, np.ndarray, float], np.ndarray]
 HistoryFn = Callable[[int, float], "Sequence"]
 
 
-@dataclass
+@dataclass(eq=False)
 class Ranking:
-    """Scored candidates of one announcement, sorted by probability."""
+    """Scored candidates of one announcement, in rank order.
+
+    The ranking is three parallel columns, best coin first: ``coin_ids``
+    (int64), ``probabilities`` (float64) and ``symbols``.  Per-coin
+    :class:`CoinScore` objects are built only when read — :attr:`scores`
+    builds them all once, :meth:`top` builds ``k`` — so a serving path
+    that encodes the columns straight to the wire (:meth:`to_json`)
+    never builds one.  Equality compares the columns bit for bit.
+    """
 
     channel_id: int
     exchange_id: int
     pump_time: float
-    scores: list[CoinScore]
+    coin_ids: np.ndarray
+    probabilities: np.ndarray
+    symbols: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        self.coin_ids = np.asarray(self.coin_ids, dtype=np.int64)
+        self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
+        self.symbols = tuple(self.symbols)
+        if not (len(self.coin_ids) == len(self.probabilities)
+                == len(self.symbols)):
+            raise ValueError("a ranking's coin_ids, probabilities and "
+                             "symbols must have one entry per coin")
+
+    @cached_property
+    def scores(self) -> list[CoinScore]:
+        """Every candidate as a :class:`CoinScore`, best first."""
+        return self.top(len(self.symbols))
 
     def top(self, k: int) -> list[CoinScore]:
-        return self.scores[:k]
+        """The ``k`` best-ranked candidates."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        return list(map(CoinScore, self.coin_ids[:k].tolist(),
+                        self.symbols[:k], self.probabilities[:k].tolist()))
 
     def rank_of(self, coin_id: int) -> int:
         """1-based rank of a coin, or -1 if not a candidate."""
-        for i, score in enumerate(self.scores):
-            if score.coin_id == coin_id:
-                return i + 1
-        return -1
+        hits = np.flatnonzero(self.coin_ids == coin_id)
+        return int(hits[0]) + 1 if len(hits) else -1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return (self.channel_id == other.channel_id
+                and self.exchange_id == other.exchange_id
+                and self.pump_time == other.pump_time
+                and self.symbols == other.symbols
+                and self.coin_ids.tobytes() == other.coin_ids.tobytes()
+                and self.probabilities.tobytes()
+                == other.probabilities.tobytes())
 
     def to_payload(self) -> dict:
         """JSON-safe wire form; probabilities survive bit-for-bit.
@@ -118,20 +144,90 @@ class Ranking:
             "channel_id": self.channel_id,
             "exchange_id": self.exchange_id,
             "pump_time": self.pump_time,
-            "scores": [score.to_payload() for score in self.scores],
+            "scores": [
+                {"coin_id": coin_id, "symbol": symbol,
+                 "probability": probability}
+                for coin_id, symbol, probability in zip(
+                    self.coin_ids.tolist(), self.symbols,
+                    self.probabilities.tolist())
+            ],
         }
+
+    def to_json(self) -> str:
+        """:meth:`to_payload` as compact JSON, written from the columns.
+
+        The text is ``json.dumps(self.to_payload(), separators=(",", ":"))``
+        byte for byte: ids and probabilities go through ``repr`` as in
+        ``json``, and each symbol's string literal comes from
+        :func:`~repro.utils.payload.json_strings`, so a catalog's symbols
+        are escaped once per process, not once per ranking.
+        """
+        if not np.isfinite(self.probabilities).all():
+            # json spells these NaN/Infinity, repr nan/inf.
+            return compact_json(self.to_payload())
+        scores = ",".join(map(_SCORE_JSON.__mod__, zip(
+            self.coin_ids.tolist(), json_strings(self.symbols),
+            self.probabilities.tolist())))
+        return (f'{{"channel_id":{compact_json(self.channel_id)},'
+                f'"exchange_id":{compact_json(self.exchange_id)},'
+                f'"pump_time":{compact_json(self.pump_time)},'
+                f'"scores":[{scores}]}}')
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Ranking":
+        """Decode :meth:`to_payload`, walking ``scores`` once into the
+        columns.
+
+        A malformed entry raises the ``ValueError`` the ``payload_*``
+        readers word: a non-object entry, a missing field, a bool where a
+        number belongs, a non-finite probability.  An integral float
+        ``coin_id`` and an int ``probability`` are accepted.
+        """
         if not isinstance(payload, dict):
             raise ValueError("ranking must be an object")
-        return cls(
-            channel_id=_payload_int(payload, "channel_id"),
-            exchange_id=_payload_int(payload, "exchange_id"),
-            pump_time=_payload_float(payload, "pump_time"),
-            scores=[CoinScore.from_payload(entry)
-                    for entry in _payload_list(payload, "scores")],
-        )
+        channel_id = _payload_int(payload, "channel_id")
+        exchange_id = _payload_int(payload, "exchange_id")
+        pump_time = _payload_float(payload, "pump_time")
+        coin_ids, symbols, probabilities = [], [], []
+        for entry in _payload_list(payload, "scores"):
+            try:
+                coin_id, symbol, probability = _SCORE_FIELDS(entry)
+            except (KeyError, TypeError):
+                coin_id, symbol, probability = _score_entry(entry)
+            else:
+                # The exact types json.loads gives a well-formed entry; a
+                # finite float is the one that survives ``p - p == 0``.
+                if not (type(coin_id) is int and type(symbol) is str
+                        and type(probability) is float
+                        and probability - probability == 0.0):
+                    coin_id, symbol, probability = _score_entry(entry)
+            coin_ids.append(coin_id)
+            symbols.append(symbol)
+            probabilities.append(probability)
+        try:
+            coin_ids = np.array(coin_ids, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("field 'coin_id' must be a 64-bit integer") \
+                from None
+        return cls(channel_id=channel_id, exchange_id=exchange_id,
+                   pump_time=pump_time, coin_ids=coin_ids,
+                   probabilities=np.array(probabilities, dtype=np.float64),
+                   symbols=symbols)
+
+
+#: One score of :meth:`Ranking.to_json`; ``%r`` of a finite float is what
+#: ``json`` writes for it.
+_SCORE_JSON = '{"coin_id":%d,"symbol":%s,"probability":%r}'
+
+_SCORE_FIELDS = operator.itemgetter("coin_id", "symbol", "probability")
+
+
+def _score_entry(entry) -> tuple[int, str, float]:
+    """One ``scores`` entry through the strict readers (exact messages)."""
+    if not isinstance(entry, dict):
+        raise ValueError("score entry must be an object")
+    return (_payload_int(entry, "coin_id"), _payload_str(entry, "symbol"),
+            _payload_float(entry, "probability"))
 
 
 class TargetCoinPredictor:
@@ -162,6 +258,9 @@ class TargetCoinPredictor:
         self.model = model
         self.assembler = assembler or FeatureAssembler(source, dataset)
         self._channel_index = self.assembler.channel_index
+        # The catalog's symbols as an array, so a ranking takes its
+        # symbols in rank order with one fancy index.
+        self._symbols = np.asarray(source.coins.symbols, dtype=object)
         # Training provenance carried into saved artifacts (set by
         # train_predictor / from_artifact; stays empty for ad-hoc builds).
         self.provenance: dict = {}
@@ -308,7 +407,7 @@ class TargetCoinPredictor:
                     channel_id=request.channel_id,
                     exchange_id=request.exchange_id,
                     pump_time=request.pump_time,
-                    scores=[],
+                    coin_ids=(), probabilities=(), symbols=(),
                 )
                 continue
             scored_indices.append(index)
@@ -366,16 +465,13 @@ class TargetCoinPredictor:
             slice_probs = probs[offset:offset + len(coins)]
             offset += len(coins)
             order = np.argsort(-slice_probs)
-            scores = [
-                CoinScore(int(coins[i]),
-                          self.source.coins.symbols[int(coins[i])],
-                          float(slice_probs[i]))
-                for i in order
-            ]
+            ranked = coins[order]
             rankings[index] = Ranking(
                 channel_id=request.channel_id,
                 exchange_id=request.exchange_id,
                 pump_time=request.pump_time,
-                scores=scores,
+                coin_ids=ranked,
+                probabilities=slice_probs[order],
+                symbols=self._symbols[ranked].tolist(),
             )
         return rankings

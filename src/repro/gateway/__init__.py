@@ -26,8 +26,9 @@ Layers
 ``server``  — :class:`GatewayHTTPServer` (stdlib ``ThreadingHTTPServer``)
               plus :func:`make_server` / :func:`serve_in_thread`.
 ``client``  — :class:`GatewayClient`: the Python SDK; decodes responses
-              through the same codecs the server encodes with, and
-              retries transient failures under a
+              through the shared ``from_payload`` codecs (rankings
+              straight into arrays), and retries transient failures
+              under a
               :class:`~repro.resilience.RetryPolicy` (ISSUE 7).
 ``replay``  — :func:`replay_against_gateway`: drive a remote gateway from
               a locally replayed message stream (``repro serve
@@ -39,7 +40,8 @@ Layers
               ``/v1/rank`` goes through it (a fixed 2 ms window that a
               lone request skips).
 ``pool``    — :func:`worker_serve`: the one worker loop every gateway
-              serves through, in-process for ``--workers 1``; with
+              serves through, on one BLAS thread, in-process for
+              ``--workers 1``; with
               :func:`bind_pool_sockets` / :func:`run_pool`, the
               ``--workers N`` pre-fork worker pool with crash
               supervision, SIGTERM fan-out and pool-level metrics

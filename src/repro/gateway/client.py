@@ -2,11 +2,11 @@
 
 :class:`GatewayClient` speaks the versioned wire schema and hands back the
 same domain objects the in-process API produces — ``rank`` returns an
-:class:`~repro.serving.service.Alert`, decoded through the shared
-``from_payload`` codecs, so a remote ranking compares bit-for-bit with an
-in-process one.  Server refusals surface as
-:class:`GatewayRequestError` carrying the envelope's stable ``code``;
-transport problems (connection refused, non-JSON replies) as
+:class:`~repro.serving.service.Alert` whose ranking is decoded straight
+into its columns by the shared ``from_payload`` codecs, so a remote
+ranking compares bit-for-bit with an in-process one.  Server refusals
+surface as :class:`GatewayRequestError` carrying the envelope's stable
+``code``; transport problems (connection refused, non-JSON replies) as
 :class:`GatewayConnectionError`; a request that outran the socket
 timeout as :class:`GatewayTimeoutError` (a connection-error subclass, so
 existing handlers keep working).
@@ -60,6 +60,7 @@ from repro.gateway.schema import (
     ReloadResponseV1,
     StatsResponseV1,
     TraceResponseV1,
+    encode_body,
 )
 from repro.resilience import (
     DEFAULT_RETRY_POLICY,
@@ -384,8 +385,7 @@ class GatewayClient:
         if self.deadline_ms is not None:
             headers[DEADLINE_HEADER] = f"{self.deadline_ms:g}"
         if payload is not None:
-            body = json.dumps(payload,
-                              separators=(",", ":")).encode("utf-8")
+            body = encode_body(payload)
             headers["Content-Type"] = "application/json"
         status, raw = self._transport(method, path, body, headers)
         if status >= 400:

@@ -14,11 +14,18 @@ shared-nothing worker processes:
   fork-bomb), fans ``SIGTERM``/``SIGINT`` out to the children and waits
   — with a hard deadline — for every worker to drain in-flight requests,
   flush its final store snapshot and exit;
-* :func:`worker_serve` is one worker's whole life: build the app (the
-  caller's ``build`` callback runs *post-fork*, so each worker owns its
-  SQLite connection and store cursor), adopt the bound socket, serve,
-  snapshot stats every ``snapshot_s``, drain on SIGTERM, snapshot and
-  flush.
+* :func:`worker_serve` is one worker's whole life: turn numpy's BLAS
+  down to one thread, build the app (the caller's ``build`` callback
+  runs *post-fork*, so each worker owns its SQLite connection and store
+  cursor), adopt the bound socket, serve, snapshot stats every
+  ``snapshot_s``, drain on SIGTERM, snapshot and flush.
+
+Each worker scores on one BLAS thread, so ``--workers`` is the one
+parallelism setting: N workers use N cores, not N x OpenBLAS's default
+of one thread per core.  A ~437-row forward pass gains nothing from a
+second thread, and the idle one busy-waits between passes.  Boot (source,
+``collect``, artifact load) runs before :func:`worker_serve` and keeps
+the default.
 
 Workers are shared-nothing except for two files: the ``--store`` event
 log (WAL SQLite — every worker appends its own observations and folds
@@ -42,6 +49,7 @@ from typing import Callable, Sequence
 
 from repro.gateway.server import GatewayHTTPServer, make_server
 from repro.telemetry import merge_expositions
+from repro.utils.blas import limit_blas_threads
 
 #: Consecutive fast crashes (exit < ``_FAST_CRASH_S`` after spawn) before
 #: the supervisor stops respawning a worker slot.
@@ -168,6 +176,11 @@ def worker_serve(worker_id: int, listen_socket: socket.socket,
     exit code: 0 after a clean drain, 1 when in-flight requests were
     still running at the drain deadline.
     """
+    if limit_blas_threads(1):
+        print_line(f"gateway[w{worker_id}]: scoring on 1 BLAS thread")
+    else:
+        print_line(f"gateway[w{worker_id}]: numpy's BLAS is not OpenBLAS; "
+                   "its thread count is unchanged")
     app, store = build(worker_id)
     app.telemetry.registry.gauge(
         "gateway_worker_info",

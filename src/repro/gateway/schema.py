@@ -26,8 +26,14 @@ uniform error body::
 
 The payload codecs themselves live on the domain types
 (:meth:`Announcement.to_payload`, :meth:`Ranking.to_payload`,
-:meth:`Alert.to_payload` and their ``from_payload`` duals) so the server
-and the client SDK encode and decode through the same code path —
+:meth:`Alert.to_payload` and their ``from_payload`` duals), shared by the
+server and the client SDK.  Every typed response has one ``encode()`` to
+its body bytes: compact JSON of ``to_payload()``.  The two rank responses
+write each alert's :attr:`~repro.serving.service.Alert.wire_json` — one
+encoder straight from the ranking's columns, run once per alert and
+shared with the event log — and their bytes equal
+``json.dumps(to_payload(), separators=(",", ":"))`` exactly, so the
+schema version is unchanged.  Floats go through ``repr`` on both paths:
 rankings survive the wire bit-for-bit.
 
 Observability endpoints (ISSUE 6)
@@ -55,6 +61,7 @@ from dataclasses import dataclass, field
 from repro.serving.online import Announcement
 from repro.serving.service import Alert
 from repro.utils.payload import (
+    compact_json,
     payload_float,
     payload_int,
     payload_list,
@@ -125,6 +132,16 @@ def error_envelope(fault: GatewayFault) -> dict:
 
 def bad_request(message: str) -> GatewayFault:
     return GatewayFault(E_BAD_REQUEST, 400, message)
+
+
+def encode_body(payload: dict) -> bytes:
+    """A JSON body as the gateway writes it.
+
+    Compact separators: a ranking response is dominated by its scores
+    array, and the default ``", "``/``": "`` padding is ~10% of the bytes
+    every response pays to encode and ship.
+    """
+    return compact_json(payload).encode("utf-8")
 
 
 # -- envelope decoding --------------------------------------------------------
@@ -294,12 +311,25 @@ def _versioned(body: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, **body}
 
 
+class _Response:
+    """Base of the typed responses: one way from ``to_payload()`` to the
+    body bytes."""
+
+    def encode(self) -> bytes:
+        """The response body: :meth:`to_payload` as compact JSON."""
+        return encode_body(self.to_payload())
+
+
 @dataclass(frozen=True)
-class RankResponseV1:
+class RankResponseV1(_Response):
     alert: Alert
 
     def to_payload(self) -> dict:
         return _versioned({"alert": self.alert.to_payload()})
+
+    def encode(self) -> bytes:
+        return (f'{{"schema_version":{SCHEMA_VERSION},'
+                f'"alert":{self.alert.wire_json}}}').encode("utf-8")
 
     @classmethod
     def decode(cls, payload: dict) -> "RankResponseV1":
@@ -311,11 +341,16 @@ class RankResponseV1:
 
 
 @dataclass(frozen=True)
-class RankBatchResponseV1:
+class RankBatchResponseV1(_Response):
     alerts: tuple[Alert, ...]
 
     def to_payload(self) -> dict:
         return _versioned({"alerts": [a.to_payload() for a in self.alerts]})
+
+    def encode(self) -> bytes:
+        alerts = ",".join(alert.wire_json for alert in self.alerts)
+        return (f'{{"schema_version":{SCHEMA_VERSION},'
+                f'"alerts":[{alerts}]}}').encode("utf-8")
 
     @classmethod
     def decode(cls, payload: dict) -> "RankBatchResponseV1":
@@ -331,7 +366,7 @@ class RankBatchResponseV1:
 
 
 @dataclass(frozen=True)
-class ObserveResponseV1:
+class ObserveResponseV1(_Response):
     channel_id: int
     history_length: int
     # Additive: True when the event_id had been folded before — a retry
@@ -355,7 +390,7 @@ class ObserveResponseV1:
 
 
 @dataclass(frozen=True)
-class ReloadResponseV1:
+class ReloadResponseV1(_Response):
     model: dict                      # the now-current model descriptor
     previous: dict | None = None     # what was serving before the swap
 
@@ -375,7 +410,7 @@ class ReloadResponseV1:
 
 
 @dataclass(frozen=True)
-class HealthResponseV1:
+class HealthResponseV1(_Response):
     status: str
     model: dict
     uptime_seconds: float
@@ -405,7 +440,7 @@ class HealthResponseV1:
 
 
 @dataclass(frozen=True)
-class StatsResponseV1:
+class StatsResponseV1(_Response):
     service: dict                    # ServiceStats.summary()
     gateway: dict                    # per-endpoint request counters etc.
 
@@ -424,7 +459,7 @@ class StatsResponseV1:
 
 
 @dataclass(frozen=True)
-class TraceResponseV1:
+class TraceResponseV1(_Response):
     """``GET /v1/trace/recent`` — the last N finished span trees."""
 
     traces: list = field(default_factory=list)  # TraceStore.recent() dicts
@@ -442,7 +477,7 @@ class TraceResponseV1:
 
 
 @dataclass(frozen=True)
-class ModelsResponseV1:
+class ModelsResponseV1(_Response):
     registry: str | None             # registry root, or None if unconfigured
     current: dict                    # descriptor of the model now serving
     models: list = field(default_factory=list)   # registry_payload()["models"]

@@ -29,7 +29,6 @@ Telemetry contract (see :mod:`repro.telemetry`):
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,6 +49,7 @@ from repro.gateway.schema import (
     ReloadRequestV1,
     bad_request,
     decode_json_body,
+    encode_body,
     error_envelope,
 )
 from repro.resilience import AdmissionQueue, Deadline, deadline_scope
@@ -82,7 +82,7 @@ def _parse_limit(query: dict) -> int | None:
 
 # Route handlers take (app, payload, query).  A handler returning ``str``
 # is served as plain text (the Prometheus exposition); everything else is
-# a schema response object encoded via ``to_payload()``.
+# a schema response object whose ``encode()`` gives the body bytes.
 _GET_ROUTES = {
     "/v1/healthz": lambda app, _payload, _query: app.healthz(),
     "/v1/stats": lambda app, _payload, _query: app.stats(),
@@ -168,13 +168,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _send_json(self, status: int, body: dict) -> None:
-        # Compact separators: a ranking response is dominated by its
-        # scores array, and the default ", "/": " padding is ~10% of
-        # the bytes every response pays to encode and ship.
-        self._send_bytes(status, "application/json",
-                         json.dumps(body, separators=(",", ":"))
-                         .encode("utf-8"))
+    def _send_json(self, status: int, body: bytes) -> None:
+        self._send_bytes(status, "application/json", body)
 
     def _send_text(self, status: int, text: str) -> None:
         self._send_bytes(status, "text/plain; version=0.0.4; charset=utf-8",
@@ -298,12 +293,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 if isinstance(response, str):
                     reply = (200, self._send_text, response)
                 else:
-                    reply = (200, self._send_json, response.to_payload())
+                    reply = (200, self._send_json, response.encode())
             except GatewayFault as fault:
                 status = fault.status
                 self._record_fault(path, fault)
                 reply = (fault.status, self._send_json,
-                         error_envelope(fault))
+                         encode_body(error_envelope(fault)))
             except ConnectionError:  # pragma: no cover - client went away
                 status = 0
             except Exception as exc:  # noqa: BLE001 - boundary: envelope, not trace
@@ -313,7 +308,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                     f"internal error ({type(exc).__name__}); see server logs",
                 )
                 self._record_fault(path, fault, exc=exc)
-                reply = (500, self._send_json, error_envelope(fault))
+                reply = (500, self._send_json,
+                         encode_body(error_envelope(fault)))
             root.set("status", status)
         elapsed = time.perf_counter() - self._trace_started
         app.record_request(_endpoint_label(path), status, elapsed)

@@ -22,6 +22,7 @@ import time as _time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.serving.online import Announcement
 from repro.serving.stats import ServiceStats
 from repro.store.base import EventStore, NullEventStore
 from repro.telemetry import span
-from repro.utils.payload import payload_float, payload_object
+from repro.utils.payload import compact_json, payload_float, payload_object
 
 #: In-memory dedup window for observation event ids.  A durable store
 #: also enforces uniqueness, so evicting old ids here never readmits a
@@ -72,6 +73,22 @@ class Alert:
             "latency_ms": self.latency_ms,
             "announced_rank": self.announced_rank,
         }
+
+    @cached_property
+    def wire_json(self) -> str:
+        """:meth:`to_payload` as compact JSON, encoded once per alert.
+
+        Byte for byte ``json.dumps(self.to_payload(), separators=(",",
+        ":"))``, written from the ranking's columns
+        (:meth:`Ranking.to_json`).  The gateway's response body and the
+        event log's ``alerts.payload`` share this one text.
+        """
+        return (
+            f'{{"announcement":{compact_json(self.announcement.to_payload())},'
+            f'"ranking":{self.ranking.to_json()},'
+            f'"latency_ms":{compact_json(self.latency_ms)},'
+            f'"announced_rank":{self.announced_rank:d}}}'
+        )
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Alert":
@@ -322,13 +339,13 @@ class PredictionService:
             )
         elapsed_ms = (_time.perf_counter() - started) * 1000.0
         per_announcement = elapsed_ms / len(announcements)
-        if any(ranking.scores for ranking in rankings):
+        if any(len(ranking.coin_ids) for ranking in rankings):
             # A batch whose every candidate set was empty never reached
             # the model (see rank_many) — don't claim a forward pass.
             self.stats.forward_passes += 1
         alerts = []
         for announcement, ranking in zip(announcements, rankings):
-            self.stats.scored_rows += len(ranking.scores)
+            self.stats.scored_rows += len(ranking.coin_ids)
             self.stats.alerts += 1
             self.stats.record_latency(per_announcement,
                                       model=self.model_name)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.predictor import CoinScore, Ranking
+from repro.core.predictor import Ranking
 from repro.markets import pump_candidates
 from repro.ml import hit_ratio_at_k
 from repro.signals.engine import SignalEngine
@@ -40,16 +40,16 @@ class SignalRanker:
         coins = self.candidates(exchange_id, time)
         if len(coins) == 0:
             return Ranking(channel_id=channel_id, exchange_id=exchange_id,
-                           pump_time=time, scores=[])
+                           pump_time=time, coin_ids=(), probabilities=(),
+                           symbols=())
         composite = self.engine.composite(coins, time)
         order = np.argsort(-composite, kind="stable")
-        scores = [
-            CoinScore(int(coins[i]), self.source.coins.symbols[int(coins[i])],
-                      float(composite[i]))
-            for i in order
-        ]
+        ranked = coins[order]
+        symbols = self.source.coins.symbols
         return Ranking(channel_id=channel_id, exchange_id=exchange_id,
-                       pump_time=time, scores=scores)
+                       pump_time=time, coin_ids=ranked,
+                       probabilities=composite[order],
+                       symbols=[symbols[coin] for coin in ranked.tolist()])
 
     def rank_lists(self, dataset, split: str = "test") -> list[np.ndarray]:
         """``(score, label)`` arrays per ranking list of a dataset split."""

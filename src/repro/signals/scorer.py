@@ -104,7 +104,12 @@ class CompositeScorer:
     def composite(self, raw: np.ndarray) -> np.ndarray:
         """``(n_coins,)`` composite from ``(n_coins, n_signals)`` raw scores."""
         squashed = self.squash(raw)
-        score = squashed @ self._weights
+        # Weighted columns summed elementwise in signal order, not
+        # ``squashed @ weights``: a BLAS product's bits depend on how many
+        # rows share the call, and a coin's composite must not.
+        score = np.zeros(len(squashed))
+        for column, weight in enumerate(self._weights):
+            score = score + squashed[:, column] * weight
         for interaction in self.interactions:
             both = (
                 (squashed[:, self._index[interaction.first]]

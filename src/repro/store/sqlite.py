@@ -17,11 +17,13 @@ stance:
   :class:`StoreError` at open — never a half-read history.
 
 Alert rows carry both the denormalized columns queries filter on
-(channel, time, announced rank) and the full wire payload
-(:meth:`Alert.to_payload` JSON).  ``json`` serializes floats via
-``repr``, so a ranking read back from the store decodes **bit-for-bit**
-equal to the one that was served — the property the kill-9 recovery
-tests pin.
+(channel, time, announced rank) and the full wire payload: the alert's
+compact JSON (:attr:`Alert.wire_json`), the same text the gateway sent,
+encoded once.  Older rows hold :meth:`Alert.to_payload` dumped with
+``json``'s default ``", "``/``": "`` separators; both decode alike.
+Floats are written via ``repr``, so a ranking read back from the store
+decodes **bit-for-bit** equal to the one that was served — the property
+the kill-9 recovery tests pin.
 """
 
 from __future__ import annotations
@@ -170,8 +172,8 @@ class SQLiteEventStore(EventStore):
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (announcement.channel_id, announcement.coin_id,
              announcement.exchange_id, announcement.pair, announcement.time,
-             alert.announced_rank, len(alert.ranking.scores),
-             alert.latency_ms, json.dumps(alert.to_payload())),
+             alert.announced_rank, len(alert.ranking.coin_ids),
+             alert.latency_ms, alert.wire_json),
         )
         self._m_appends.labels(table="alerts").inc()
 

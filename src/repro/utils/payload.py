@@ -1,4 +1,4 @@
-"""Strict readers for JSON-decoded payloads.
+"""Strict readers for JSON-decoded payloads, and the compact writer.
 
 Every ``from_payload`` codec (rankings, alerts, announcements, the gateway
 wire schema) funnels field access through these helpers so a malformed
@@ -9,13 +9,46 @@ envelope, and a wrong type can never flow onward as a wrong score.
 ``bool`` is deliberately rejected where a number is expected: JSON
 ``true`` decoding into channel id 1 would be exactly the kind of silent
 coercion this layer exists to stop.
+
+On the way out, :func:`compact_json` is the one JSON writer of the wire
+and the event log, and :func:`json_strings` memoizes string literals for
+hand-written encoders of hot payloads (:meth:`Ranking.to_json
+<repro.core.predictor.Ranking.to_json>`).
 """
 
 from __future__ import annotations
 
+import json
 import math
+from json.encoder import encode_basestring_ascii
 
 _MISSING = object()
+
+#: ``json.dumps(value, separators=(",", ":"))`` without building an
+#: encoder per call.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Distinct strings :func:`json_strings` remembers before starting over —
+#: far above any coin catalog, so a server escapes each symbol once.
+_LITERALS_CAPACITY = 1 << 16
+
+
+class _Literals(dict):
+    """``text -> json.dumps(text)``, computed on first use."""
+
+    def __missing__(self, text: str) -> str:
+        if len(self) >= _LITERALS_CAPACITY:
+            self.clear()
+        literal = self[text] = encode_basestring_ascii(text)
+        return literal
+
+
+_LITERALS = _Literals()
+
+
+def json_strings(texts) -> list[str]:
+    """The JSON string literal of each text, as ``json.dumps`` writes it."""
+    return list(map(_LITERALS.__getitem__, texts))
 
 
 def _get(payload: dict, key: str, default):

@@ -17,6 +17,7 @@ from repro.features import (
     pad_coin_id,
 )
 from repro.markets import pump_candidates
+from repro.signals import SignalEngine
 from repro.simulation import SyntheticWorld, generate_phase_world
 from repro.sources import SyntheticWorldSource
 from repro.utils import ReproConfig
@@ -149,27 +150,38 @@ class TestAssembler:
             assert arr[:, 1].sum() == 1
 
 
-@pytest.fixture(scope="module", params=("plain", "phase"))
-def message_only_assembler(request, world):
-    """An assembler without signal channels over the plain tiny world or
-    the phase-overlay world."""
-    if request.param == "phase":
-        world = generate_phase_world(CFG.with_(horizon_hours=2600))
-    source = SyntheticWorldSource(world)
-    return FeatureAssembler(source, collect(source, n_label=600).dataset)
+@pytest.fixture(scope="module")
+def phase_collected():
+    source = SyntheticWorldSource(
+        generate_phase_world(CFG.with_(horizon_hours=2600)))
+    return source, collect(source, n_label=600).dataset
+
+
+@pytest.fixture(scope="module", params=("plain", "phase", "phase-signals"))
+def block_assembler(request, world, phase_collected):
+    """An assembler over the plain tiny world, the phase-overlay world,
+    or the phase world with the signal engine's channels appended."""
+    if request.param == "plain":
+        source = SyntheticWorldSource(world)
+        return FeatureAssembler(source,
+                                collect(source, n_label=600).dataset)
+    source, dataset = phase_collected
+    engine = (SignalEngine.from_source(source)
+              if request.param == "phase-signals" else None)
+    return FeatureAssembler(source, dataset, signal_engine=engine)
 
 
 class TestCandidateBlockRows:
-    """A coin's channel-independent row does not depend on which coins
-    share the call, so a training list (the positive plus sampled
-    negatives) and a served ranking (every candidate) give it the same
-    features."""
+    """A coin's channel-independent row, signal channels included, does
+    not depend on which coins share the call, so a training list (the
+    positive plus sampled negatives) and a served ranking (every
+    candidate) give it the same features."""
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_row_is_the_same_alone_in_any_subset_and_in_full(
-            self, message_only_assembler, data):
-        assembler = message_only_assembler
+            self, block_assembler, data):
+        assembler = block_assembler
         event = data.draw(st.sampled_from(
             [e for e in assembler.dataset.examples if e.label == 1]
         ))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.predictor import CoinScore, Ranking
+from repro.core.predictor import Ranking
 from repro.gateway.schema import (
     ERROR_CODES,
     SCHEMA_VERSION,
@@ -35,10 +35,8 @@ def announcement():
 def alert(announcement):
     ranking = Ranking(
         channel_id=42, exchange_id=1, pump_time=2410.372918471,
-        scores=[
-            CoinScore(7, "AAA", 0.9123456789012345),
-            CoinScore(9, "BBB", 0.1000000000000001),
-        ],
+        coin_ids=[7, 9], symbols=["AAA", "BBB"],
+        probabilities=[0.9123456789012345, 0.1000000000000001],
     )
     return Alert(announcement=announcement, ranking=ranking,
                  latency_ms=3.25)

@@ -132,6 +132,10 @@ class TestWorkerPoolLifecycle:
             reader.wait_for("gateway pool: supervising 2 workers")
             pids = _worker_pids(reader, expect=2)
             assert len(pids) == 2
+            # Each worker scores on one BLAS thread; the parity checks
+            # below compare its rankings with this process's default.
+            reader.wait_for("gateway[w0]: scoring on 1 BLAS thread")
+            reader.wait_for("gateway[w1]: scoring on 1 BLAS thread")
 
             client = GatewayClient(url, timeout=120.0)
             assert client.healthz().status == "ok"

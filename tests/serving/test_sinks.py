@@ -3,7 +3,7 @@
 import io
 import json
 
-from repro.core.predictor import CoinScore, Ranking
+from repro.core.predictor import Ranking
 from repro.serving import (
     Announcement,
     CollectingSink,
@@ -16,13 +16,9 @@ from repro.serving.service import Alert
 def _alert():
     announcement = Announcement(channel_id=9, coin_id=11, exchange_id=1,
                                 pair="BTC", time=120.0)
-    scores = [
-        CoinScore(11, "AAA", 0.9),
-        CoinScore(12, "BBB", 0.5),
-        CoinScore(13, "CCC", 0.1),
-    ]
     ranking = Ranking(channel_id=9, exchange_id=1, pump_time=120.0,
-                      scores=scores)
+                      coin_ids=[11, 12, 13], symbols=["AAA", "BBB", "CCC"],
+                      probabilities=[0.9, 0.5, 0.1])
     return Alert(announcement=announcement, ranking=ranking, latency_ms=2.5)
 
 

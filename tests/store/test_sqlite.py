@@ -6,11 +6,13 @@ relies on: a ranking read back from the store equals the served one
 float-for-float.
 """
 
+import json
 import sqlite3
 
 import pytest
 
-from repro.core.predictor import CoinScore, Ranking
+from repro.cli import main
+from repro.core.predictor import Ranking
 from repro.serving import Alert, Announcement
 from repro.store import (
     NullEventStore,
@@ -32,13 +34,13 @@ def alert_for(channel=1, coin=7, time=10.0, rank=1,
     ``rank`` beyond ``n_scores`` (or ``coin=-1``) yields an unranked
     alert, mirroring a miss / an unlabeled probe.
     """
-    scores = []
-    for position in range(1, n_scores + 1):
-        coin_id = coin if position == rank else 1000 + position
-        scores.append(CoinScore(coin_id, f"C{position}",
-                                1.0 - position * 0.1))
-    ranking = Ranking(channel_id=channel, exchange_id=0, pump_time=time,
-                      scores=scores)
+    positions = range(1, n_scores + 1)
+    ranking = Ranking(
+        channel_id=channel, exchange_id=0, pump_time=time,
+        coin_ids=[coin if p == rank else 1000 + p for p in positions],
+        symbols=[f"C{p}" for p in positions],
+        probabilities=[1.0 - p * 0.1 for p in positions],
+    )
     return Alert(announcement=ann(channel, coin, time), ranking=ranking,
                  latency_ms=1.25)
 
@@ -180,6 +182,55 @@ class TestDurabilityEdges:
         with SQLiteEventStore(path) as reopened:
             with pytest.raises(StoreError):
                 reopened.alerts()
+
+
+class TestPayloadFormats:
+    """``alerts.payload`` holds the alert's compact wire JSON; logs
+    written before that hold ``to_payload()`` dumped with json's default
+    separators.  Both kinds of row read back as the served alerts."""
+
+    @pytest.fixture
+    def mixed_log(self, tmp_path):
+        old = alert_for(channel=1, time=10.0, rank=1)
+        new = alert_for(channel=2, time=20.5, rank=4, n_scores=5)
+        path = tmp_path / "events.db"
+        SQLiteEventStore(path).close()
+        with sqlite3.connect(path) as conn:
+            # The old row, as the previous append_alert wrote it.
+            conn.execute(
+                "INSERT INTO alerts (channel_id, coin_id, exchange_id, "
+                "pair, time, announced_rank, n_scores, latency_ms, "
+                "payload) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (1, 7, 0, "BTC", 10.0, old.announced_rank, 3,
+                 old.latency_ms, json.dumps(old.to_payload())),
+            )
+        with SQLiteEventStore(path) as store:
+            store.append_alert(new)
+        return path, [old, new]
+
+    def test_new_rows_hold_the_wire_json(self, mixed_log):
+        path, (old, new) = mixed_log
+        with sqlite3.connect(path) as conn:
+            payloads = [row[0] for row in conn.execute(
+                "SELECT payload FROM alerts ORDER BY seq")]
+        assert ", " in payloads[0]
+        assert payloads[1] == new.wire_json == json.dumps(
+            new.to_payload(), separators=(",", ":"))
+
+    def test_both_formats_read_back_as_served(self, mixed_log, capsys):
+        path, served = mixed_log
+        with SQLiteEventStore(path) as store:
+            assert store.alerts() == served
+        assert main(["history", "alerts", "--store", str(path),
+                     "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [alert.wire_json for alert in served]
+        assert [Alert.from_payload(json.loads(line))
+                for line in lines] == served
+        assert main(["history", "hr", "--store", str(path),
+                     "--k", "3"]) == 0
+        assert "HR@3 = 0.5000 (1/2 labeled alerts)" in \
+            capsys.readouterr().out
 
 
 class TestNullStore:

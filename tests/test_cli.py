@@ -184,6 +184,35 @@ class TestOperationalErrors:
                      "--limit", "-1"]) == 2
         assert capsys.readouterr().err.startswith("repro history: ")
 
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_history_alerts_top_k_below_one(self, store_path, capsys,
+                                            top_k):
+        from repro.core.predictor import Ranking
+        from repro.serving import Alert, Announcement
+        from repro.store import SQLiteEventStore
+
+        # One alert in the log: the refusal is about --top-k, not about
+        # an empty store.
+        with SQLiteEventStore(store_path) as store:
+            store.append_alert(Alert(
+                announcement=Announcement(channel_id=1, coin_id=2,
+                                          exchange_id=0, pair="BTC",
+                                          time=5.0),
+                ranking=Ranking(channel_id=1, exchange_id=0, pump_time=5.0,
+                                coin_ids=[2, 3], symbols=["AA", "BB"],
+                                probabilities=[0.625, 0.375]),
+                latency_ms=1.0,
+            ))
+        assert main(["history", "alerts", "--store", store_path,
+                     "--top-k", top_k]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro history: --top-k must be >= 1\n"
+        assert captured.out == ""
+        assert main(["history", "alerts", "--store", store_path,
+                     "--top-k", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "AA:0.6250" in out and "BB" not in out
+
 
 class TestCommands:
     def test_world_command(self, capsys):

@@ -1,10 +1,18 @@
-"""Tests for the utils substrate: hash RNG, config, time, tabulation."""
+"""Tests for the utils substrate: hash RNG, config, time, tabulation,
+BLAS threads."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.utils import (
     Clock,
     ReproConfig,
@@ -182,3 +190,30 @@ class TestTabulate:
     def test_title_prepended(self):
         out = format_table(["a"], [[1]], title="T")
         assert out.splitlines()[0] == "T"
+
+
+class TestBlasThreads:
+    def test_limit_takes_effect(self):
+        # In a fresh process: the test process keeps its own threads.
+        script = textwrap.dedent("""
+            import ctypes
+            from repro.utils.blas import _loaded_openblas, limit_blas_threads
+            if not limit_blas_threads(1):
+                raise SystemExit("not-openblas")
+            library = ctypes.CDLL(_loaded_openblas()[0])
+            getter = next(getattr(library, name) for name in (
+                "scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_", "openblas_get_num_threads",
+            ) if hasattr(library, name))
+            getter.restype = ctypes.c_int
+            print(getter())
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        if "not-openblas" in done.stderr:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
