@@ -268,7 +268,7 @@ def test_gateway_scaling(benchmark, gateway_setup, pool_registry):
     lines = [machine_context(),
              f"workload: {SWEEP_REQUESTS} rank requests per sweep point "
              f"(best of 3 passes), {len(announcements)} distinct "
-             f"announcements, {EPOCHS}-epoch snn, 2 ms micro-batch window"]
+             f"announcements, {EPOCHS}-epoch snn, contention micro-batching"]
     curve: dict[tuple[int, int], float] = {}
 
     def sweep() -> None:

@@ -37,8 +37,8 @@ Layers
               :func:`remote_ranker` scoring over the wire.
 ``microbatch`` — :class:`MicroBatcher`: coalesce concurrent ``/v1/rank``
               requests across connections into one forward pass.  Every
-              ``/v1/rank`` goes through it (a fixed 2 ms window that a
-              lone request skips).
+              ``/v1/rank`` goes through it: requests that queue while
+              another holds the scoring lock share its next flush.
 ``pool``    — :func:`worker_serve`: the one worker loop every gateway
               serves through, on one BLAS thread, in-process for
               ``--workers 1``; with

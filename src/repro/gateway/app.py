@@ -56,10 +56,6 @@ from repro.telemetry import TelemetryHub
 #: Default cap on ``/v1/rank/batch`` size (also the CLI default).
 DEFAULT_MAX_BATCH = 256
 
-#: How long a ``/v1/rank`` micro-batch stays open for concurrent
-#: requests; a lone request never waits (see :class:`MicroBatcher`).
-_COALESCE_WINDOW_S = 0.002
-
 
 def describe_model(ref: str | None, path=None, manifest: dict | None = None,
                    *, name: str | None = None,
@@ -174,11 +170,10 @@ class GatewayApp:
             "gateway_microbatch_requests_total",
             "Rank requests served through micro-batch flushes.",
         )
-        # Every /v1/rank goes through the micro-batcher: requests on
-        # concurrent handler threads coalesce into one forward pass, and a
-        # lone request skips the window.
+        # Every /v1/rank goes through the micro-batcher: requests queued
+        # while another holds the scoring lock share its next flush.
         self._batcher = MicroBatcher(self._execute_coalesced,
-                                     _COALESCE_WINDOW_S, max_batch)
+                                     self._score_lock, max_batch)
         # Worker pools install a hook that merges peer workers' metric
         # dumps into this process's /v1/metrics exposition.
         self.metrics_merge = None
@@ -268,30 +263,29 @@ class GatewayApp:
         return None
 
     def _execute_coalesced(self, entries) -> None:
-        """Gate + score one micro-batch flush under the scoring lock.
+        """Gate + score one micro-batch flush.
 
+        The batcher calls this with the scoring lock already held, and
+        ``threading.Lock`` is not reentrant, so it must not take it again.
         Each entry passes :meth:`_refusal` on its own, and a refusal
         faults only that entry.  The survivors score in one
         ``rank_batch`` forward pass; scoring is history-pure, so every
         alert is bit-identical to a lone request's.
         """
-        with self._score_lock:
-            self._m_microbatch_flushes.inc()
-            self._m_microbatch_requests.inc(len(entries))
-            service = self._service
-            ready = []
-            for entry in entries:
-                entry.fault = self._refusal(service, entry.announcement,
-                                            entry.deadline)
-                if entry.fault is None:
-                    ready.append(entry)
-            if not ready:
-                return
-            alerts = service.rank_batch(
-                [entry.announcement for entry in ready]
-            )
-            for entry, alert in zip(ready, alerts):
-                entry.alert = alert
+        self._m_microbatch_flushes.inc()
+        self._m_microbatch_requests.inc(len(entries))
+        service = self._service
+        ready = []
+        for entry in entries:
+            entry.fault = self._refusal(service, entry.announcement,
+                                        entry.deadline)
+            if entry.fault is None:
+                ready.append(entry)
+        if not ready:
+            return
+        alerts = service.rank_batch([entry.announcement for entry in ready])
+        for entry, alert in zip(ready, alerts):
+            entry.alert = alert
 
     def rank(self, request: RankRequestV1) -> RankResponseV1:
         self.count("rank")

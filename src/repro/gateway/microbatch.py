@@ -4,12 +4,14 @@ A ThreadingHTTPServer hands every connection its own handler thread, so
 concurrent ``/v1/rank`` requests reach the app as independent single
 rankings — each paying a full forward pass even though the compiled
 plans score a batch of 16 for barely more than a batch of 1.  The
-:class:`MicroBatcher` coalesces them: the first thread to arrive becomes
-the *leader*, holds the batch open for a short window (the gateway uses
-2 ms) while other handler threads append their announcements as
-*followers*, then runs one gated ``PredictionService.rank_batch`` for
-the lot and demultiplexes alerts (or per-entry faults) back to the
-waiting threads.  Every ``/v1/rank`` takes this route.
+:class:`MicroBatcher` coalesces them by contention: each request queues
+its announcement and then takes the app's scoring lock.  Whoever holds
+the lock runs one gated ``PredictionService.rank_batch`` for everything
+queued so far (at most ``max_batch`` entries) and hands alerts (or
+per-entry faults) back to their requests; a request an earlier holder
+already answered finds its entry done and leaves.  Requests therefore
+coalesce exactly when they overlap a flush in progress, a lone request
+never waits, and there is no timer.  Every ``/v1/rank`` takes this route.
 
 Semantics are bit-for-bit those of solo ranking:
 
@@ -19,13 +21,11 @@ Semantics are bit-for-bit those of solo ranking:
 * scoring is history-pure and the fold order is unchanged (the service
   folds after scoring, exactly as a solo ``rank_batch([a])`` would), so
   the alert for an announcement is identical whether it was coalesced
-  or not;
-* a request that arrives while no other rank is in flight skips the
-  window entirely — sequential replay traffic pays zero added latency.
+  or not.
 
-The leader publishes results and sets every entry's event in a
-``finally``: follower threads can never be left hanging, whatever the
-batch execution raises.
+The holder marks every entry of its flush done in a ``finally`` before
+it releases the lock, whatever the batch execution raises, so no waiting
+request can hang on a holder that failed.
 """
 
 from __future__ import annotations
@@ -37,99 +37,67 @@ from repro.resilience import current_deadline
 from repro.serving.online import Announcement
 from repro.serving.service import Alert
 
-#: Upper bound on a follower's wait for its leader.  Only reachable if
-#: the executor thread dies mid-flush (a bug, not an operating mode);
-#: better a typed 500 than a handler thread pinned forever.
-_FOLLOWER_TIMEOUT_S = 120.0
-
 
 class _Entry:
-    """One enqueued rank request and its rendezvous with the leader."""
+    """One queued rank request and the answer its flush leaves for it."""
 
     __slots__ = ("announcement", "deadline", "done", "alert", "fault")
 
     def __init__(self, announcement: Announcement, deadline):
         self.announcement = announcement
         self.deadline = deadline
-        self.done = threading.Event()
+        self.done = False
         self.alert: Alert | None = None
         self.fault: GatewayFault | None = None
 
 
 class MicroBatcher:
-    """Leader/follower batcher over an ``execute(entries)`` callback.
+    """Contention batcher over an ``execute(entries)`` callback.
 
-    ``execute`` (the app's gated scoring section) must fill each entry's
-    ``alert`` or ``fault``; entries it leaves untouched fault with a 500
-    so a buggy executor degrades loudly instead of hanging clients.
+    ``execute`` (the app's gated scoring section) runs with ``lock``
+    held and must fill each entry's ``alert`` or ``fault``; entries it
+    leaves untouched fault with a 500 so a buggy executor degrades
+    loudly instead of answering nothing.
     """
 
-    def __init__(self, execute, window_s: float, max_batch: int):
-        if window_s <= 0:
-            raise ValueError("window_s must be > 0")
+    def __init__(self, execute, lock: threading.Lock, max_batch: int):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._execute = execute
-        self.window_s = window_s
+        self._lock = lock
         self.max_batch = max_batch
-        self._lock = threading.Lock()
-        # The open batch (None while no leader is collecting) and the
-        # event its leader sleeps on; followers set it when the batch
-        # fills so a full window is never waited out pointlessly.
-        self._pending: list[_Entry] | None = None
-        self._full: threading.Event | None = None
-        # Rank requests currently inside submit(); a lone request sees
-        # inflight == 1 and skips the window (no batch-mates can exist).
-        self._inflight = 0
-        # Lifetime counters the app exposes as metrics.
-        self.flushes = 0
-        self.coalesced_requests = 0
+        self._queue_lock = threading.Lock()
+        self._queue: list[_Entry] = []
 
     def submit(self, announcement: Announcement) -> Alert:
-        """Rank one announcement through the next coalesced flush.
+        """Rank one announcement through the next flush that reaches it.
 
         Returns the alert or raises the entry's :class:`GatewayFault` —
         exactly what a lone request would have produced.
         """
         entry = _Entry(announcement, current_deadline())
+        with self._queue_lock:
+            self._queue.append(entry)
         with self._lock:
-            self._inflight += 1
-            leading = self._pending is None
-            if leading:
-                self._pending = [entry]
-                self._full = threading.Event()
-                wake = self._full
-                alone = self._inflight == 1
-            else:
-                self._pending.append(entry)
-                if len(self._pending) >= self.max_batch:
-                    self._full.set()
-        try:
-            if leading:
-                self._lead(wake, alone)
-            else:
-                entry.done.wait(_FOLLOWER_TIMEOUT_S)
-        finally:
-            with self._lock:
-                self._inflight -= 1
+            # Entries leave the queue only under ``lock``, and their flush
+            # marks them done before releasing it: an entry not done here
+            # is still queued, and first-in-first-out flushes reach it.
+            while not entry.done:
+                with self._queue_lock:
+                    batch = self._queue[:self.max_batch]
+                    del self._queue[:self.max_batch]
+                self._flush(batch)
         if entry.fault is not None:
             raise entry.fault
-        if entry.alert is None:  # leader died or follower timed out
+        if entry.alert is None:  # the executor never answered this entry
             raise GatewayFault(
                 E_INTERNAL, 500,
                 "micro-batch flush abandoned this request; see server logs",
             )
         return entry.alert
 
-    def _lead(self, wake: threading.Event, alone: bool) -> None:
-        """Hold the window open, then flush whatever accumulated."""
-        if not alone:
-            wake.wait(self.window_s)
-        with self._lock:
-            batch, self._pending = self._pending, None
-            self._full = None
-            self.flushes += 1
-            self.coalesced_requests += len(batch)
+    def _flush(self, batch: list[_Entry]) -> None:
+        """Execute one batch, fanning an executor-level fault out to it."""
         try:
             self._execute(batch)
         except GatewayFault as fault:  # executor-level refusal: fan out
@@ -146,7 +114,7 @@ class MicroBatcher:
                     entry.fault = fault
         finally:
             for entry in batch:
-                entry.done.set()
+                entry.done = True
 
 
 __all__ = ["MicroBatcher"]

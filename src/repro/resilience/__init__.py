@@ -5,9 +5,9 @@ Four small, dependency-free building blocks (ISSUE 7):
 * :class:`Deadline` / :func:`deadline_scope` — per-request wall-clock
   budgets, threaded through a contextvar so queue/lock layers can refuse
   work nobody is waiting for any more (gateway: 503 ``deadline_exceeded``);
-* :class:`RetryPolicy` / :func:`call_with_retry` — exponential backoff
-  with downward jitter; the :class:`~repro.gateway.GatewayClient` retries
-  connection errors and retryable 5xx/429 responses under one of these;
+* :class:`RetryPolicy` — exponential backoff with downward jitter; the
+  :class:`~repro.gateway.GatewayClient` retries connection errors and
+  retryable 5xx/429 responses under one of these;
 * :class:`CircuitBreaker` — stop hammering a peer that is demonstrably
   down; refused calls fail locally in microseconds instead of burning a
   timeout each;
@@ -30,7 +30,6 @@ from repro.resilience.retry import (
     DEFAULT_RETRY_POLICY,
     NO_RETRY,
     RetryPolicy,
-    call_with_retry,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "NO_RETRY",
     "RetryPolicy",
-    "call_with_retry",
     "current_deadline",
     "deadline_scope",
 ]

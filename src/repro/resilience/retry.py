@@ -1,10 +1,9 @@
-"""Exponential backoff with jitter, as a policy object plus a runner.
+"""Exponential backoff with jitter, as a policy object.
 
 :class:`RetryPolicy` is pure arithmetic — attempt number in, sleep
-duration out — so it can be unit-tested exhaustively and shared by any
-caller (the :class:`~repro.gateway.GatewayClient` uses it for connection
-errors and retryable 5xx/429 responses).  :func:`call_with_retry` is the
-generic runner for callers outside the client.
+duration out — so it can be unit-tested exhaustively.  The
+:class:`~repro.gateway.GatewayClient` runs its one retry loop under it,
+for connection errors and retryable 5xx/429 responses.
 
 Jitter is *full-range downward*: the sleep is drawn uniformly from
 ``[delay * (1 - jitter), delay]``.  A fleet of clients retrying a
@@ -15,9 +14,7 @@ exact power-of-two boundaries.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
-from typing import Callable, Tuple, Type
 
 
 @dataclass(frozen=True)
@@ -64,36 +61,8 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
-def call_with_retry(fn: Callable, *, policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-                    retryable: Tuple[Type[BaseException], ...] = (Exception,),
-                    on_retry: Callable | None = None,
-                    sleep: Callable[[float], None] = time.sleep,
-                    rng: random.Random | None = None):
-    """Call ``fn()`` under ``policy``, retrying on ``retryable`` errors.
-
-    ``on_retry(attempt, exc, delay)`` is invoked before each sleep —
-    the hook where callers count ``client_retries_total``.  The final
-    failure is re-raised unchanged, so the caller's typed-error contract
-    survives the retry layer.
-    """
-    attempt = 1
-    while True:
-        try:
-            return fn()
-        except retryable as exc:
-            if attempt >= policy.max_attempts:
-                raise
-            pause = policy.delay(attempt, rng)
-            if on_retry is not None:
-                on_retry(attempt, exc, pause)
-            if pause > 0:
-                sleep(pause)
-            attempt += 1
-
-
 __all__ = [
     "DEFAULT_RETRY_POLICY",
     "NO_RETRY",
     "RetryPolicy",
-    "call_with_retry",
 ]

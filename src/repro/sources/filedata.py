@@ -155,6 +155,25 @@ def parse_message_record(path: Path, line_no: int, line: str) -> dict:
     return record
 
 
+def check_sampling_limits(sequence_length: int,
+                          max_negatives_per_event: int) -> None:
+    """Refuse ``meta.json`` sampling values no dataset can be built from.
+
+    Shared by the loader and raw ingestion, so a dump that would crash
+    every later ``train``/``serve`` is never written and never loaded.
+    ``max_negatives_per_event`` 0 is valid: it means no cap.
+    """
+    if sequence_length < 1:
+        raise SourceDataError(
+            f"sequence_length must be >= 1 (got {sequence_length})"
+        )
+    if max_negatives_per_event < 0:
+        raise SourceDataError(
+            f"max_negatives_per_event must be >= 0, 0 meaning no cap "
+            f"(got {max_negatives_per_event})"
+        )
+
+
 def _parse_float(path: Path, row_no: int, column: str, raw: str) -> float:
     try:
         return float(raw)
@@ -547,6 +566,11 @@ class FileDatasetSource(DataSource):
             raise SourceDataError(
                 f"{self.path / META_NAME}: numeric field is malformed ({exc})"
             ) from exc
+        try:
+            check_sampling_limits(self.sequence_length,
+                                  self.max_negatives_per_event)
+        except SourceDataError as exc:
+            raise SourceDataError(f"{self.path / META_NAME}: {exc}") from None
         self.exchange_names = list(meta["exchange_names"])
         if len(self.exchange_names) < self.n_exchanges:
             raise SourceDataError(

@@ -40,6 +40,7 @@ from repro.sources.filedata import (
     MESSAGES_NAME,
     META_NAME,
     FileDatasetSource,
+    check_sampling_limits,
     parse_message_record,
     read_csv_table,
 )
@@ -292,6 +293,7 @@ def ingest_raw(out_dir: str | Path, *, messages: str | Path,
     becomes a live seed pump channel; every coin is listed on exchange 0
     from the first recorded candle hour).
     """
+    check_sampling_limits(sequence_length, max_negatives_per_event)
     out_dir = _prepare_out_dir(out_dir)
 
     # Coins: contiguous ids in input order.

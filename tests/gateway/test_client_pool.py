@@ -35,9 +35,9 @@ from tests.gateway.conftest import make_announcements, service_from
 
 
 @pytest.fixture(scope="module")
-def pool_app(gw_registry, gw_source, gw_collection) -> GatewayApp:
+def pool_app(tiny_registry, tiny_source, tiny_collection) -> GatewayApp:
     return GatewayApp(
-        service_from(gw_registry, "dnn", gw_source, gw_collection))
+        service_from(tiny_registry, "dnn", tiny_source, tiny_collection))
 
 
 def conns_opened(client: GatewayClient) -> float:

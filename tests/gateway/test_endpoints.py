@@ -9,9 +9,9 @@ from tests.gateway.conftest import make_announcements, service_from
 
 
 @pytest.fixture
-def running(gw_source, gw_collection, gw_registry, gateway):
-    service = service_from(gw_registry, "snn", gw_source, gw_collection)
-    app = GatewayApp(service, registry=gw_registry)
+def running(tiny_source, tiny_collection, tiny_registry, gateway):
+    service = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
+    app = GatewayApp(service, registry=tiny_registry)
     server, client = gateway(app)
     return app, server, client
 
@@ -34,10 +34,10 @@ class TestIntrospection:
         assert stats.gateway["requests"]["rank_batch"] == 1
         assert stats.service["alerts"] == 2
 
-    def test_models_matches_registry_serializer(self, running, gw_registry):
+    def test_models_matches_registry_serializer(self, running, tiny_registry):
         _app, _server, client = running
         response = client.models()
-        expected = registry_payload(gw_registry)
+        expected = registry_payload(tiny_registry)
         assert response.registry == expected["root"]
         assert response.models == expected["models"]
         names = {entry["name"] for entry in response.models}
@@ -96,13 +96,15 @@ class TestObserve:
         assert response.channel_id == announcement.channel_id
         assert response.history_length == before + 1
 
-    def test_observed_history_changes_later_rankings(self, gw_source,
-                                                     gw_collection,
-                                                     gw_registry, gateway,
+    def test_observed_history_changes_later_rankings(self, tiny_source,
+                                                     tiny_collection,
+                                                     tiny_registry, gateway,
                                                      test_positives):
-        service = service_from(gw_registry, "snn", gw_source, gw_collection)
-        witness = service_from(gw_registry, "snn", gw_source, gw_collection)
-        _server, client = gateway(GatewayApp(service, registry=gw_registry))
+        service = service_from(tiny_registry, "snn", tiny_source,
+                               tiny_collection)
+        witness = service_from(tiny_registry, "snn", tiny_source,
+                               tiny_collection)
+        _server, client = gateway(GatewayApp(service, registry=tiny_registry))
         base = make_announcements(test_positives, 2)
         probe = Announcement(
             channel_id=base[0].channel_id, coin_id=-1, exchange_id=0,

@@ -33,11 +33,11 @@ def raw_request(server, method: str, path: str, body: bytes | None = None,
 
 
 @pytest.fixture(scope="module")
-def served(gw_source, gw_collection, gw_registry):
+def served(tiny_source, tiny_collection, tiny_registry):
     from repro.gateway import serve_in_thread
 
-    service = service_from(gw_registry, "dnn", gw_source, gw_collection)
-    app = GatewayApp(service, registry=gw_registry, max_batch=4)
+    service = service_from(tiny_registry, "dnn", tiny_source, tiny_collection)
+    app = GatewayApp(service, registry=tiny_registry, max_batch=4)
     server, _thread = serve_in_thread(app)
     yield server
     server.shutdown()
@@ -128,12 +128,12 @@ class TestDomainRefusals:
         assert exc.value.code == "no_candidates"
         assert exc.value.status == 422
 
-    def test_rank_batch_is_all_or_nothing(self, gw_source, gw_collection,
-                                          gw_registry, gateway,
+    def test_rank_batch_is_all_or_nothing(self, tiny_source, tiny_collection,
+                                          tiny_registry, gateway,
                                           test_positives, tmp_path):
         store = SQLiteEventStore(tmp_path / "events.db")
         service = PredictionService.from_artifact(
-            gw_registry.resolve("dnn"), gw_source, gw_collection.dataset,
+            tiny_registry.resolve("dnn"), tiny_source, tiny_collection.dataset,
             store=store,
         )
         _server, client = gateway(GatewayApp(service))
@@ -160,9 +160,10 @@ class TestDomainRefusals:
         assert exc.value.code == "unknown_model"
         assert exc.value.status == 404
 
-    def test_reload_without_registry(self, gw_source, gw_collection,
-                                     gw_registry, gateway):
-        service = service_from(gw_registry, "dnn", gw_source, gw_collection)
+    def test_reload_without_registry(self, tiny_source, tiny_collection,
+                                     tiny_registry, gateway):
+        service = service_from(tiny_registry, "dnn", tiny_source,
+                               tiny_collection)
         _server, client = gateway(GatewayApp(service, registry=None))
         with pytest.raises(GatewayRequestError) as exc:
             client.reload("dnn")

@@ -1,25 +1,30 @@
-"""Cross-connection micro-batching (PR 9).
+"""Cross-connection micro-batching.
 
 Three contracts:
 
 * **parity** — an alert produced through a coalesced flush is
   bit-for-bit the alert in-process ``PredictionService.rank_one``
-  produces for the same announcement, concurrent or sequential;
+  produces for the same announcement, concurrent or sequential, under
+  any interleaving of the requests;
 * **per-entry gating** — one bad announcement (unknown channel, coin
   outside the universe, expired deadline) faults its own request with
   the same stable code a lone request gets, and never poisons its
   batch-mates;
-* **coalescing mechanics** — concurrent submits share one flush, a lone
-  submit skips the window, a full batch releases the window early, and
-  a crashing executor faults (never hangs) every waiter.
+* **coalescing mechanics** — a lone request flushes alone, requests
+  queued while a flush holds the scoring lock share the next flush, no
+  flush exceeds ``max_batch``, every request is executed exactly once,
+  and a crashing executor faults (never hangs) every waiter.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway import GatewayApp, MicroBatcher
 from repro.gateway.microbatch import _Entry
@@ -39,29 +44,78 @@ def exact(alert):
     return tuple((s.coin_id, s.probability) for s in alert.ranking.scores)
 
 
+def wait_until(predicate, timeout: float = 30.0) -> None:
+    """Poll ``predicate`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def queued(batcher: MicroBatcher) -> int:
+    with batcher._queue_lock:
+        return len(batcher._queue)
+
+
+def run_concurrently(targets) -> None:
+    """Run each callable on its own thread; all must finish in time."""
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def answer(batch) -> None:
+    for entry in batch:
+        entry.alert = ("alert", entry.announcement)
+
+
+def faults_of_one_held_flush(execute) -> list[GatewayFault]:
+    """Queue three requests behind a held scoring lock, so one flush
+    runs ``execute`` for all of them; return the fault each one got."""
+    lock = threading.Lock()
+    batcher = MicroBatcher(execute, lock, max_batch=8)
+    faults: list = [None] * 3
+
+    def request(index):
+        def run():
+            try:
+                batcher.submit(f"a{index}")
+            except GatewayFault as fault:
+                faults[index] = fault
+        return run
+
+    threads = [threading.Thread(target=request(i)) for i in range(3)]
+    with lock:
+        for thread in threads:
+            thread.start()
+        wait_until(lambda: queued(batcher) == 3)
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    return faults
+
+
 class TestMicroBatcherMechanics:
     """White-box: the batcher over a scripted executor."""
 
-    @staticmethod
-    def _answer(batch):
-        for entry in batch:
-            entry.alert = ("alert", entry.announcement)
-
     def test_rejects_degenerate_configuration(self):
         with pytest.raises(ValueError):
-            MicroBatcher(self._answer, 0.0, 4)
-        with pytest.raises(ValueError):
-            MicroBatcher(self._answer, 0.002, 0)
+            MicroBatcher(answer, threading.Lock(), 0)
 
-    def test_lone_request_skips_the_window(self):
-        # A 30s window would make this test time out if the lone-request
-        # fast path ever regressed into waiting.
-        batcher = MicroBatcher(self._answer, window_s=30.0, max_batch=8)
-        started = time.monotonic()
+    def test_lone_request_flushes_alone(self):
+        batches: list[list] = []
+
+        def execute(batch):
+            batches.append([entry.announcement for entry in batch])
+            answer(batch)
+
+        batcher = MicroBatcher(execute, threading.Lock(), max_batch=8)
         assert batcher.submit("a0") == ("alert", "a0")
-        assert time.monotonic() - started < 5.0
-        assert batcher.flushes == 1
-        assert batcher.coalesced_requests == 1
+        assert batches == [["a0"]]
+        assert queued(batcher) == 0
 
     def test_concurrent_requests_coalesce_into_one_flush(self):
         release = threading.Event()
@@ -70,14 +124,12 @@ class TestMicroBatcherMechanics:
         def execute(batch):
             batches.append([entry.announcement for entry in batch])
             if len(batches) == 1:
-                # Hold the first flush open so the next two submits are
-                # provably concurrent with an in-flight rank.
+                # Hold the first flush, and so the lock, until the next
+                # two requests are queued behind it.
                 release.wait(30.0)
-            self._answer(batch)
+            answer(batch)
 
-        # max_batch=2: the second concurrent submit must release the 30s
-        # window immediately, or the join below would hit its timeout.
-        batcher = MicroBatcher(execute, window_s=30.0, max_batch=2)
+        batcher = MicroBatcher(execute, threading.Lock(), max_batch=2)
         results: dict[str, tuple] = {}
 
         def run(tag):
@@ -86,35 +138,36 @@ class TestMicroBatcherMechanics:
         threads = [threading.Thread(target=run, args=(f"a{i}",))
                    for i in range(3)]
         threads[0].start()
-        deadline = time.monotonic() + 30.0
-        while not batches:  # a0's flush is now executing (and blocked)
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
+        wait_until(lambda: batches)  # a0's flush is executing (and held)
         threads[1].start()
         threads[2].start()
-        for thread in threads[1:]:
-            thread.join(timeout=30.0)
+        wait_until(lambda: queued(batcher) == 2)
         release.set()
-        threads[0].join(timeout=30.0)
+        for thread in threads:
+            thread.join(timeout=30.0)
         assert not any(thread.is_alive() for thread in threads)
 
-        assert batcher.flushes == 2
-        assert batcher.coalesced_requests == 3
-        assert sorted(len(batch) for batch in batches) == [1, 2]
+        assert [len(batch) for batch in batches] == [1, 2]
+        assert sorted(batches[1]) == ["a1", "a2"]
         assert results == {f"a{i}": ("alert", f"a{i}") for i in range(3)}
 
     def test_crashing_executor_faults_instead_of_hanging(self):
         def explode(batch):
             raise RuntimeError("boom")
 
-        batcher = MicroBatcher(explode, window_s=30.0, max_batch=8)
-        with pytest.raises(GatewayFault) as excinfo:
-            batcher.submit("a0")
-        assert excinfo.value.code == E_INTERNAL
-        assert excinfo.value.status == 500
+        faults = faults_of_one_held_flush(explode)
+        assert {(f.code, f.status) for f in faults} == {(E_INTERNAL, 500)}
+
+    def test_executor_refusal_fans_out_to_every_waiter(self):
+        refusal = GatewayFault(E_UNKNOWN_CHANNEL, 422, "refused")
+
+        def refuse(batch):
+            raise refusal
+
+        assert faults_of_one_held_flush(refuse) == [refusal] * 3
 
     def test_executor_abandoning_an_entry_faults_it(self):
-        batcher = MicroBatcher(lambda batch: None, window_s=30.0,
+        batcher = MicroBatcher(lambda batch: None, threading.Lock(),
                                max_batch=8)
         with pytest.raises(GatewayFault) as excinfo:
             batcher.submit("a0")
@@ -122,16 +175,78 @@ class TestMicroBatcherMechanics:
         assert "abandoned" in excinfo.value.message
 
 
+class TestRandomInterleavings:
+    """Any start jitter and flush hold: each request gets its own answer
+    from exactly one flush of at most ``max_batch`` entries."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_each_request_answered_once_by_a_bounded_flush(self, data):
+        n = data.draw(st.integers(1, 12), label="requests")
+        max_batch = data.draw(st.integers(1, 4), label="max_batch")
+        delays = st.lists(st.floats(0.0, 0.003), min_size=n, max_size=n)
+        jitter = data.draw(delays, label="start jitter")
+        holds = data.draw(delays, label="flush holds")
+        lock = threading.Lock()
+        batches: list[list] = []
+
+        def execute(batch):
+            assert lock.locked()
+            batches.append([entry.announcement for entry in batch])
+            time.sleep(holds[len(batches) - 1])
+            answer(batch)
+
+        batcher = MicroBatcher(execute, lock, max_batch)
+        results: list = [None] * n
+        barrier = threading.Barrier(n)
+
+        def request(index):
+            def run():
+                barrier.wait()
+                time.sleep(jitter[index])
+                results[index] = batcher.submit(index)
+            return run
+
+        # A short switch interval interleaves the threads' bytecode finely.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_concurrently([request(i) for i in range(n)])
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [("alert", i) for i in range(n)]
+        assert sorted(i for batch in batches for i in batch) \
+            == list(range(n))
+        assert all(1 <= len(batch) <= max_batch for batch in batches)
+        assert queued(batcher) == 0
+
+
 @pytest.fixture(scope="module")
-def solo_service(gw_registry, gw_source, gw_collection) -> PredictionService:
+def solo_service(tiny_registry, tiny_source,
+                 tiny_collection) -> PredictionService:
     """The reference: in-process scoring, one announcement at a time."""
-    return service_from(gw_registry, "dnn", gw_source, gw_collection)
+    return service_from(tiny_registry, "dnn", tiny_source, tiny_collection)
 
 
 @pytest.fixture(scope="module")
-def batched_app(gw_registry, gw_source, gw_collection) -> GatewayApp:
+def batched_app(tiny_registry, tiny_source, tiny_collection) -> GatewayApp:
     return GatewayApp(
-        service_from(gw_registry, "dnn", gw_source, gw_collection))
+        service_from(tiny_registry, "dnn", tiny_source, tiny_collection))
+
+
+@pytest.fixture(scope="module")
+def sentinels(solo_service, test_positives) -> list:
+    """Up to eight ``coin_id=-1`` announcements and their solo rankings.
+
+    Sentinels fold no history, so their rankings are order-independent.
+    """
+    announcements = make_announcements(test_positives, 8, coin_known=False)
+    return [(a, solo_service.rank_one(a).ranking) for a in announcements]
+
+
+def requests_total(app: GatewayApp) -> float:
+    return app.telemetry.registry.get(
+        "gateway_microbatch_requests_total").value
 
 
 class TestCoalescedParity:
@@ -146,33 +261,55 @@ class TestCoalescedParity:
                                            coin_known=False)
         expected = [exact(solo_service.rank_one(a)) for a in announcements]
 
-        before = batched_app._batcher.coalesced_requests
+        before = requests_total(batched_app)
         results: list = [None] * len(announcements)
         barrier = threading.Barrier(len(announcements))
 
-        def run(index):
-            barrier.wait()
-            results[index] = batched_app.rank(
-                RankRequestV1(announcements[index])).alert
+        def request(index):
+            def run():
+                barrier.wait()
+                results[index] = batched_app.rank(
+                    RankRequestV1(announcements[index])).alert
+            return run
 
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(len(announcements))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120.0)
-        assert not any(thread.is_alive() for thread in threads)
+        run_concurrently([request(i) for i in range(len(announcements))])
 
         assert [exact(alert) for alert in results] == expected
         # Every rank went through the batcher, however it coalesced.
-        assert batched_app._batcher.coalesced_requests - before \
-            == len(announcements)
+        assert requests_total(batched_app) - before == len(announcements)
 
-        # Sequential traffic through the same batcher agrees too (the
-        # lone-request fast path).
+        # Sequential traffic through the same batcher agrees too (each
+        # lone request flushes alone).
         again = [exact(batched_app.rank(RankRequestV1(a)).alert)
                  for a in announcements]
         assert again == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_any_concurrent_subset_matches_solo(self, batched_app,
+                                                sentinels, data):
+        picks = data.draw(st.lists(st.integers(0, len(sentinels) - 1),
+                                   min_size=1, max_size=len(sentinels),
+                                   unique=True), label="sentinels")
+        before = requests_total(batched_app)
+        results: list = [None] * len(picks)
+        barrier = threading.Barrier(len(picks))
+
+        def request(slot):
+            def run():
+                barrier.wait()
+                announcement = sentinels[picks[slot]][0]
+                results[slot] = batched_app.rank(
+                    RankRequestV1(announcement)).alert
+            return run
+
+        run_concurrently([request(slot) for slot in range(len(picks))])
+
+        for pick, alert in zip(picks, results):
+            announcement, ranking = sentinels[pick]
+            assert alert.announcement == announcement
+            assert alert.ranking == ranking  # bit for bit
+        assert requests_total(batched_app) - before == len(picks)
 
     def test_bad_entries_fault_alone_good_entries_still_score(
             self, batched_app, test_positives):
@@ -191,7 +328,8 @@ class TestCoalescedParity:
             _Entry(bad_coin, None),
             _Entry(good[1], None),
         ]
-        batched_app._execute_coalesced(entries)
+        with batched_app._score_lock:
+            batched_app._execute_coalesced(entries)
 
         assert entries[1].fault is not None
         assert entries[1].fault.code == E_UNKNOWN_CHANNEL
@@ -213,7 +351,8 @@ class TestCoalescedParity:
         time.sleep(0.01)
         assert expired.expired
         entries = [_Entry(good[0], None), _Entry(good[1], expired)]
-        batched_app._execute_coalesced(entries)
+        with batched_app._score_lock:
+            batched_app._execute_coalesced(entries)
 
         assert entries[1].fault is not None
         assert entries[1].fault.code == E_DEADLINE_EXCEEDED
@@ -231,15 +370,11 @@ class TestCoalescedParity:
         results: list = [None] * len(announcements)
         barrier = threading.Barrier(len(announcements))
 
-        def run(index):
-            barrier.wait()
-            results[index] = client.rank(announcements[index])
+        def request(index):
+            def run():
+                barrier.wait()
+                results[index] = client.rank(announcements[index])
+            return run
 
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(len(announcements))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120.0)
-        assert not any(thread.is_alive() for thread in threads)
+        run_concurrently([request(i) for i in range(len(announcements))])
         assert [exact(alert) for alert in results] == expected

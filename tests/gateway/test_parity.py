@@ -11,23 +11,20 @@ and every candidate order identical, through both ``/v1/rank`` and
 import pytest
 
 from repro.gateway import GatewayApp
-from tests.gateway.conftest import (
-    GATEWAY_ARCHS,
-    make_announcements,
-    service_from,
-)
+from tests.conftest import TINY_ARCHS
+from tests.gateway.conftest import make_announcements, service_from
 
 
 def exact(ranking):
     return [(s.coin_id, s.symbol, s.probability) for s in ranking.scores]
 
 
-@pytest.mark.parametrize("arch", GATEWAY_ARCHS)
-def test_rank_and_batch_parity(arch, gw_source, gw_collection, gw_registry,
-                               gateway, test_positives):
-    local = service_from(gw_registry, arch, gw_source, gw_collection)
-    remote = service_from(gw_registry, arch, gw_source, gw_collection)
-    _server, client = gateway(GatewayApp(remote, registry=gw_registry))
+@pytest.mark.parametrize("arch", TINY_ARCHS)
+def test_rank_and_batch_parity(arch, tiny_source, tiny_collection,
+                               tiny_registry, gateway, test_positives):
+    local = service_from(tiny_registry, arch, tiny_source, tiny_collection)
+    remote = service_from(tiny_registry, arch, tiny_source, tiny_collection)
+    _server, client = gateway(GatewayApp(remote, registry=tiny_registry))
 
     announcements = make_announcements(test_positives,
                                        min(6, len(test_positives)))
@@ -51,12 +48,12 @@ def test_rank_and_batch_parity(arch, gw_source, gw_collection, gw_registry,
         assert exact(over_the_wire.ranking) == exact(in_process.ranking)
 
 
-def test_parity_survives_observe(gw_source, gw_collection, gw_registry,
+def test_parity_survives_observe(tiny_source, tiny_collection, tiny_registry,
                                  gateway, test_positives):
     """/v1/observe and in-process observe() leave identical state behind."""
-    local = service_from(gw_registry, "snn", gw_source, gw_collection)
-    remote = service_from(gw_registry, "snn", gw_source, gw_collection)
-    _server, client = gateway(GatewayApp(remote, registry=gw_registry))
+    local = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
+    remote = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
+    _server, client = gateway(GatewayApp(remote, registry=tiny_registry))
 
     announcements = make_announcements(test_positives, 2)
     client.observe(announcements[0])

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.gateway import GatewayApp
+from repro.registry import ModelRegistry
 from repro.serving import Announcement
 from tests.gateway.conftest import make_announcements, service_from
 
@@ -32,23 +33,23 @@ def exact(ranking):
 
 
 @pytest.fixture
-def references(gw_source, gw_collection, gw_registry, test_positives):
+def references(tiny_source, tiny_collection, tiny_registry, test_positives):
     probe = stateless_probe(test_positives)
-    old = service_from(gw_registry, "snn", gw_source, gw_collection)
-    new = service_from(gw_registry, "dnn", gw_source, gw_collection)
+    old = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
+    new = service_from(tiny_registry, "dnn", tiny_source, tiny_collection)
     return probe, exact(old.rank_one(probe).ranking), \
         exact(new.rank_one(probe).ranking)
 
 
-def test_hot_swap_drops_and_corrupts_nothing(gw_source, gw_collection,
-                                             gw_registry, gateway,
+def test_hot_swap_drops_and_corrupts_nothing(tiny_source, tiny_collection,
+                                             tiny_registry, gateway,
                                              references):
     probe, expected_old, expected_new = references
     assert expected_old != expected_new, \
         "reference models must be distinguishable for this test to bite"
 
-    service = service_from(gw_registry, "snn", gw_source, gw_collection)
-    app = GatewayApp(service, registry=gw_registry)
+    service = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
+    app = GatewayApp(service, registry=tiny_registry)
     _server, client = gateway(app)
 
     results: list[tuple] = []
@@ -92,7 +93,7 @@ def test_hot_swap_drops_and_corrupts_nothing(gw_source, gw_collection,
 
 
 def test_reload_of_corrupt_artifact_leaves_champion_serving(
-        gw_source, gw_collection, gw_registry, gateway, test_positives,
+        tiny_source, tiny_collection, tiny_registry, gateway, test_positives,
         tmp_path):
     """Regression (ISSUE 7 satellite): a tampered artifact must be a
     structured refusal, never a half-swapped or crashed gateway."""
@@ -103,14 +104,17 @@ def test_reload_of_corrupt_artifact_leaves_champion_serving(
     from repro.gateway.client import GatewayRequestError
 
     # A doomed registry entry: a copy of a good artifact with its weights
-    # replaced by garbage.  A separate name so session artifacts stay good.
-    source = gw_registry.resolve("dnn")
-    mangled = gw_registry.root / "mangled" / "v0001"
-    shutil.copytree(source, mangled)
+    # replaced by garbage, in this test's own registry so the session
+    # registry stays read-only.
+    registry = ModelRegistry(tmp_path / "registry")
+    for name in ("snn", "dnn"):
+        registry.import_artifact(tiny_registry.resolve(name), name)
+    mangled = registry.root / "mangled" / "v0001"
+    shutil.copytree(registry.resolve("dnn"), mangled)
     (mangled / "weights.npz").write_bytes(b"not an npz archive at all")
 
-    service = service_from(gw_registry, "snn", gw_source, gw_collection)
-    app = GatewayApp(service, registry=gw_registry)
+    service = service_from(registry, "snn", tiny_source, tiny_collection)
+    app = GatewayApp(service, registry=registry)
     _server, client = gateway(app)
 
     probe = stateless_probe(test_positives)
@@ -131,11 +135,11 @@ def test_reload_of_corrupt_artifact_leaves_champion_serving(
     assert client.reload("dnn").model["name"] == "dnn"
 
 
-def test_reload_carries_streamed_history_across(gw_source, gw_collection,
-                                                gw_registry, gateway,
+def test_reload_carries_streamed_history_across(tiny_source, tiny_collection,
+                                                tiny_registry, gateway,
                                                 test_positives):
-    service = service_from(gw_registry, "snn", gw_source, gw_collection)
-    app = GatewayApp(service, registry=gw_registry)
+    service = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
+    app = GatewayApp(service, registry=tiny_registry)
     _server, client = gateway(app)
 
     observed = make_announcements(test_positives, 1)[0]
@@ -146,7 +150,7 @@ def test_reload_carries_streamed_history_across(gw_source, gw_collection,
 
     # Reference: a fresh dnn service given the same observation agrees
     # bit-for-bit with the post-swap gateway.
-    witness = service_from(gw_registry, "dnn", gw_source, gw_collection)
+    witness = service_from(tiny_registry, "dnn", tiny_source, tiny_collection)
     witness.observe(observed)
     probe = Announcement(channel_id=observed.channel_id, coin_id=-1,
                          exchange_id=0, pair="BTC",

@@ -28,21 +28,21 @@ def exact(ranking):
 
 
 @pytest.fixture(scope="module")
-def local_result(gw_source, gw_collection, gw_registry):
+def local_result(tiny_source, tiny_collection, tiny_registry):
     predictor = TargetCoinPredictor.from_artifact(
-        gw_registry.resolve("snn"), gw_source, gw_collection.dataset
+        tiny_registry.resolve("snn"), tiny_source, tiny_collection.dataset
     )
-    return replay_test_period(gw_source, gw_collection, predictor)
+    return replay_test_period(tiny_source, tiny_collection, predictor)
 
 
-def test_remote_replay_matches_local_engine(gw_source, gw_collection,
-                                            gw_registry, gateway,
+def test_remote_replay_matches_local_engine(tiny_source, tiny_collection,
+                                            tiny_registry, gateway,
                                             local_result):
-    service = service_from(gw_registry, "snn", gw_source, gw_collection)
-    _server, client = gateway(GatewayApp(service, registry=gw_registry))
+    service = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
+    _server, client = gateway(GatewayApp(service, registry=tiny_registry))
     sink = CollectingSink()
     remote_result = replay_against_gateway(
-        gw_source, gw_collection, client, sinks=(sink,)
+        tiny_source, tiny_collection, client, sinks=(sink,)
     )
 
     assert len(remote_result.alerts) == len(local_result.alerts) > 0
@@ -63,8 +63,9 @@ def test_remote_replay_matches_local_engine(gw_source, gw_collection,
     assert stats["announcements"] >= len(remote_result.alerts)
 
 
-def test_local_gate_and_remote_fallback_skip_alike(gw_source, gw_collection,
-                                                   gw_registry, gateway,
+def test_local_gate_and_remote_fallback_skip_alike(tiny_source,
+                                                   tiny_collection,
+                                                   tiny_registry, gateway,
                                                    test_positives):
     """One instant, three announcements: one on a known channel, one on
     an unknown channel and one before anything is listed.  The local
@@ -83,13 +84,14 @@ def test_local_gate_and_remote_fallback_skip_alike(gw_source, gw_collection,
     # Nothing is listed before hour 0: no candidates.
     times = {2: -1.0}
 
-    local = build_engine(gw_source, gw_collection, gw_registry.resolve("snn"))
+    local = build_engine(tiny_source, tiny_collection,
+                         tiny_registry.resolve("snn"))
     local.detector = _AlwaysPumpDetector()
     local.sessionizer = _OneShotSessionizer(times)
     local_result = local.run(MessageStream.replay(messages))
 
     _server, client = gateway(GatewayApp(
-        service_from(gw_registry, "snn", gw_source, gw_collection)))
+        service_from(tiny_registry, "snn", tiny_source, tiny_collection)))
     stats = ServiceStats()
     remote = StreamEngine(_AlwaysPumpDetector(), _OneShotSessionizer(times),
                           remote_ranker(client, stats), stats=stats)

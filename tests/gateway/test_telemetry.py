@@ -25,11 +25,11 @@ from tests.gateway.conftest import make_announcements, service_from
 
 
 @pytest.fixture
-def observed(gw_source, gw_collection, gw_registry, gateway):
+def observed(tiny_source, tiny_collection, tiny_registry, gateway):
     """A gateway with a capturing logger and slow_ms=0 (trace everything)."""
-    service = service_from(gw_registry, "snn", gw_source, gw_collection)
+    service = service_from(tiny_registry, "snn", tiny_source, tiny_collection)
     hub = TelemetryHub(logger=CapturingLogger(), slow_ms=0.0)
-    app = GatewayApp(service, registry=gw_registry, telemetry=hub)
+    app = GatewayApp(service, registry=tiny_registry, telemetry=hub)
     server, client = gateway(app)
     return app, hub, server, client
 
@@ -221,16 +221,18 @@ class TestStructuredLogs:
 
 
 class TestParityUnderTelemetry:
-    def test_rankings_bit_identical_with_tracing_on(self, gw_source,
-                                                    gw_collection,
-                                                    gw_registry, gateway,
+    def test_rankings_bit_identical_with_tracing_on(self, tiny_source,
+                                                    tiny_collection,
+                                                    tiny_registry, gateway,
                                                     test_positives):
         """Instrumentation must never perturb scores (acceptance)."""
-        local = service_from(gw_registry, "snn", gw_source, gw_collection)
-        remote = service_from(gw_registry, "snn", gw_source, gw_collection)
+        local = service_from(tiny_registry, "snn", tiny_source,
+                             tiny_collection)
+        remote = service_from(tiny_registry, "snn", tiny_source,
+                              tiny_collection)
         hub = TelemetryHub(logger=CapturingLogger(), slow_ms=0.0)
         _server, client = gateway(
-            GatewayApp(remote, registry=gw_registry, telemetry=hub)
+            GatewayApp(remote, registry=tiny_registry, telemetry=hub)
         )
         announcements = make_announcements(test_positives,
                                            min(4, len(test_positives)))

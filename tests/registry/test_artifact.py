@@ -44,14 +44,14 @@ def _test_requests(dataset, count=2):
 
 @pytest.mark.parametrize("arch", ARCHES)
 class TestRoundTrip:
-    def test_rank_scores_bit_for_bit(self, arch, trained_predictors,
-                                     reg_source, reg_collection, tmp_path):
-        predictor = trained_predictors[arch]
+    def test_rank_scores_bit_for_bit(self, arch, tiny_predictors,
+                                     tiny_source, tiny_collection, tmp_path):
+        predictor = tiny_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
         rebuilt = TargetCoinPredictor.from_artifact(
-            tmp_path / arch, reg_source, reg_collection.dataset
+            tmp_path / arch, tiny_source, tiny_collection.dataset
         )
-        request = _test_requests(reg_collection.dataset, count=1)[0]
+        request = _test_requests(tiny_collection.dataset, count=1)[0]
         original = predictor.rank(request.channel_id, 0, request.pump_time)
         reloaded = rebuilt.rank(request.channel_id, 0, request.pump_time)
         assert [s.coin_id for s in original.scores] == \
@@ -59,37 +59,37 @@ class TestRoundTrip:
         assert [s.probability for s in original.scores] == \
             [s.probability for s in reloaded.scores]
 
-    def test_rank_many_bit_for_bit(self, arch, trained_predictors,
-                                   reg_source, reg_collection, tmp_path):
-        predictor = trained_predictors[arch]
+    def test_rank_many_bit_for_bit(self, arch, tiny_predictors,
+                                   tiny_source, tiny_collection, tmp_path):
+        predictor = tiny_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
         rebuilt = TargetCoinPredictor.from_artifact(
-            tmp_path / arch, reg_source, reg_collection.dataset
+            tmp_path / arch, tiny_source, tiny_collection.dataset
         )
-        requests = _test_requests(reg_collection.dataset, count=2)
+        requests = _test_requests(tiny_collection.dataset, count=2)
         for original, reloaded in zip(predictor.rank_many(requests),
                                       rebuilt.rank_many(requests)):
             assert [(s.coin_id, s.probability) for s in original.scores] == \
                 [(s.coin_id, s.probability) for s in reloaded.scores]
 
-    def test_hr_at_k_identical(self, arch, trained_predictors, reg_source,
-                               reg_collection, reg_assembled, tmp_path):
-        predictor = trained_predictors[arch]
+    def test_hr_at_k_identical(self, arch, tiny_predictors, tiny_source,
+                               tiny_collection, tiny_assembled, tmp_path):
+        predictor = tiny_predictors[arch]
         save_artifact(predictor, tmp_path / arch)
         rebuilt = TargetCoinPredictor.from_artifact(
-            tmp_path / arch, reg_source, reg_collection.dataset
+            tmp_path / arch, tiny_source, tiny_collection.dataset
         )
-        original = predict_scores(predictor.model, reg_assembled.test)
-        reloaded = predict_scores(rebuilt.model, reg_assembled.test)
+        original = predict_scores(predictor.model, tiny_assembled.test)
+        reloaded = predict_scores(rebuilt.model, tiny_assembled.test)
         assert np.array_equal(original, reloaded)
-        assert evaluate_scores(reg_assembled.test, original) == \
-            evaluate_scores(reg_assembled.test, reloaded)
+        assert evaluate_scores(tiny_assembled.test, original) == \
+            evaluate_scores(tiny_assembled.test, reloaded)
 
 
 class TestArtifactContents:
     @pytest.fixture()
-    def saved(self, trained_predictors, tmp_path):
-        predictor = trained_predictors["dnn"]
+    def saved(self, tiny_predictors, tmp_path):
+        predictor = tiny_predictors["dnn"]
         path = tmp_path / "dnn"
         save_artifact(predictor, path, provenance={"note": "unit-test"})
         return predictor, path
@@ -122,16 +122,16 @@ class TestArtifactContents:
         assert summary["model"] == "dnn"
         assert summary["provenance.note"] == "unit-test"
 
-    def test_save_refuses_unrelated_directory(self, trained_predictors,
+    def test_save_refuses_unrelated_directory(self, tiny_predictors,
                                               tmp_path):
         target = tmp_path / "precious"
         target.mkdir()
         (target / "data.txt").write_text("not an artifact")
         with pytest.raises(ArtifactError, match="refusing to overwrite"):
-            save_artifact(trained_predictors["dnn"], target)
+            save_artifact(tiny_predictors["dnn"], target)
         assert (target / "data.txt").read_text() == "not an artifact"
 
-    def test_save_refuses_foreign_manifest_dir(self, trained_predictors,
+    def test_save_refuses_foreign_manifest_dir(self, tiny_predictors,
                                                tmp_path):
         # A directory with someone else's manifest.json (e.g. a browser
         # extension) is NOT replaceable — kind marker must match.
@@ -140,17 +140,17 @@ class TestArtifactContents:
         (target / "manifest.json").write_text('{"manifest_version": 3}')
         (target / "background.js").write_text("// precious")
         with pytest.raises(ArtifactError, match="refusing to overwrite"):
-            save_artifact(trained_predictors["dnn"], target)
+            save_artifact(tiny_predictors["dnn"], target)
         assert (target / "background.js").read_text() == "// precious"
 
-    def test_save_into_empty_directory(self, trained_predictors, tmp_path):
+    def test_save_into_empty_directory(self, tiny_predictors, tmp_path):
         target = tmp_path / "empty"
         target.mkdir()
-        save_artifact(trained_predictors["dnn"], target)
+        save_artifact(tiny_predictors["dnn"], target)
         assert (target / MANIFEST_NAME).is_file()
 
-    def test_to_artifact_snapshots_scalers(self, trained_predictors):
-        predictor = trained_predictors["dnn"]
+    def test_to_artifact_snapshots_scalers(self, tiny_predictors):
+        predictor = tiny_predictors["dnn"]
         artifact = predictor.to_artifact()
         assert artifact.numeric_scaler.mean_ is not \
             predictor._numeric_scaler.mean_
@@ -161,11 +161,11 @@ class TestArtifactContents:
         finally:
             predictor._numeric_scaler.mean_ -= 1.0  # session-scoped fixture
 
-    def test_resave_over_existing_artifact(self, trained_predictors,
+    def test_resave_over_existing_artifact(self, tiny_predictors,
                                            tmp_path):
         # Re-saving replaces the bundle whole (staged + renamed): the
         # result loads cleanly and no temp directories are left behind.
-        predictor = trained_predictors["dnn"]
+        predictor = tiny_predictors["dnn"]
         path = tmp_path / "dnn"
         save_artifact(predictor, path, provenance={"run": 1})
         save_artifact(predictor, path, provenance={"run": 2})
@@ -173,17 +173,17 @@ class TestArtifactContents:
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "dnn"]
         assert leftovers == []
 
-    def test_to_artifact_from_artifact_pair(self, trained_predictors,
-                                            reg_source, reg_collection):
+    def test_to_artifact_from_artifact_pair(self, tiny_predictors,
+                                            tiny_source, tiny_collection):
         from repro.core import TargetCoinPredictor
 
-        predictor = trained_predictors["snn"]
+        predictor = tiny_predictors["snn"]
         artifact = predictor.to_artifact(provenance={"via": "method"})
         assert isinstance(artifact, PredictorArtifact)
         rebuilt = TargetCoinPredictor.from_artifact(
-            artifact, reg_source, reg_collection.dataset
+            artifact, tiny_source, tiny_collection.dataset
         )
-        request = _test_requests(reg_collection.dataset, count=1)[0]
+        request = _test_requests(tiny_collection.dataset, count=1)[0]
         assert [s.probability
                 for s in predictor.rank(request.channel_id, 0,
                                         request.pump_time).scores] == \
@@ -194,9 +194,9 @@ class TestArtifactContents:
 
 class TestFailureModes:
     @pytest.fixture()
-    def saved(self, trained_predictors, tmp_path):
+    def saved(self, tiny_predictors, tmp_path):
         path = tmp_path / "dnn"
-        save_artifact(trained_predictors["dnn"], path)
+        save_artifact(tiny_predictors["dnn"], path)
         return path
 
     def test_schema_mismatch_rejected(self, saved):
@@ -301,25 +301,25 @@ class TestFailureModes:
                            match="structurally"):
             load_artifact(saved)
 
-    def test_bare_weights_npz_rejected_with_hint(self, trained_predictors,
+    def test_bare_weights_npz_rejected_with_hint(self, tiny_predictors,
                                                  tmp_path):
         from repro.nn.serialize import save_state_dict
 
         path = tmp_path / "bare.npz"
-        save_state_dict(trained_predictors["dnn"].model.state_dict(), path)
+        save_state_dict(tiny_predictors["dnn"].model.state_dict(), path)
         with pytest.raises(ArtifactError, match="bare-weights"):
             load_artifact(path)
 
-    def test_vocabulary_drift_rejected(self, saved, reg_source,
-                                       reg_collection):
+    def test_vocabulary_drift_rejected(self, saved, tiny_source,
+                                       tiny_collection):
         artifact = load_artifact(saved)
         dropped = next(iter(artifact.channel_index))
         del artifact.channel_index[dropped]
         with pytest.raises(ArtifactError, match="vocabulary drift"):
-            artifact.to_predictor(reg_source, reg_collection.dataset)
+            artifact.to_predictor(tiny_source, tiny_collection.dataset)
 
-    def test_tampered_subscribers_rejected(self, saved, reg_source,
-                                           reg_collection):
+    def test_tampered_subscribers_rejected(self, saved, tiny_source,
+                                           tiny_collection):
         # Subscribers feed the channel feature directly: manifest drift
         # must be a diagnostic, never silently different scores.
         manifest = json.loads((saved / MANIFEST_NAME).read_text())
@@ -328,13 +328,13 @@ class TestFailureModes:
         (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
         artifact = load_artifact(saved)
         with pytest.raises(ArtifactError, match="subscriber"):
-            artifact.to_predictor(reg_source, reg_collection.dataset)
+            artifact.to_predictor(tiny_source, tiny_collection.dataset)
 
 
 class TestLegacySerialize:
-    def test_artifact_weights_load_without_warning(self, trained_predictors,
+    def test_artifact_weights_load_without_warning(self, tiny_predictors,
                                                    tmp_path, recwarn):
-        save_artifact(trained_predictors["dnn"], tmp_path / "a")
+        save_artifact(tiny_predictors["dnn"], tmp_path / "a")
         load_artifact(tmp_path / "a")
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]

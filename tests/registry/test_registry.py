@@ -16,10 +16,10 @@ from repro.serving import PredictionService
 
 
 class TestPublishing:
-    def test_versions_increment_and_latest_tracks(self, trained_predictors,
+    def test_versions_increment_and_latest_tracks(self, tiny_predictors,
                                                   tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        predictor = trained_predictors["dnn"]
+        predictor = tiny_predictors["dnn"]
         first = registry.publish(predictor, "dnn")
         second = registry.publish(predictor, "dnn")
         assert (first.version, second.version) == ("v0001", "v0002")
@@ -27,10 +27,10 @@ class TestPublishing:
         assert registry.latest("dnn") == "v0002"
         assert registry.resolve("dnn") == second.path
 
-    def test_latest_fallback_skips_ghost_versions(self, trained_predictors,
+    def test_latest_fallback_skips_ghost_versions(self, tiny_predictors,
                                                   tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
         # A manifest-less version dir (interrupted manual copy) plus a
         # lost pointer: the fallback must land on the loadable version.
         (tmp_path / "reg" / "dnn" / "v0002").mkdir()
@@ -38,9 +38,9 @@ class TestPublishing:
         assert registry.latest("dnn") == "v0001"
         assert registry.resolve("dnn").name == "v0001"
 
-    def test_set_latest_rollback(self, trained_predictors, tmp_path):
+    def test_set_latest_rollback(self, tiny_predictors, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        predictor = trained_predictors["dnn"]
+        predictor = tiny_predictors["dnn"]
         registry.publish(predictor, "dnn")
         registry.publish(predictor, "dnn")
         registry.set_latest("dnn", "v0001")
@@ -48,21 +48,21 @@ class TestPublishing:
         with pytest.raises(RegistryError):
             registry.set_latest("dnn", "v9999")
 
-    def test_import_existing_artifact(self, trained_predictors, tmp_path):
+    def test_import_existing_artifact(self, tiny_predictors, tmp_path):
         source = tmp_path / "exported"
-        save_artifact(trained_predictors["dnn"], source)
+        save_artifact(tiny_predictors["dnn"], source)
         registry = ModelRegistry(tmp_path / "reg")
         entry = registry.import_artifact(source, "imported")
         assert entry.version == "v0001"
         assert registry.load("imported").model_name == "dnn"
 
-    def test_import_rejects_corrupt_source(self, trained_predictors,
+    def test_import_rejects_corrupt_source(self, tiny_predictors,
                                            tmp_path):
         from repro.registry import ArtifactIntegrityError
         from repro.registry.artifact import WEIGHTS_NAME as weights_name
 
         source = tmp_path / "exported"
-        save_artifact(trained_predictors["dnn"], source)
+        save_artifact(tiny_predictors["dnn"], source)
         blob = bytearray((source / weights_name).read_bytes())
         blob[11] ^= 0xFF
         (source / weights_name).write_bytes(bytes(blob))
@@ -72,10 +72,10 @@ class TestPublishing:
         # Nothing half-published: LATEST must never point at a bad bundle.
         assert registry.models() == []
 
-    def test_invalid_name_rejected(self, trained_predictors, tmp_path):
+    def test_invalid_name_rejected(self, tiny_predictors, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
         with pytest.raises(RegistryError, match="invalid model name"):
-            registry.publish(trained_predictors["dnn"], "../escape")
+            registry.publish(tiny_predictors["dnn"], "../escape")
 
     def test_missing_model_errors(self, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
@@ -83,19 +83,19 @@ class TestPublishing:
         with pytest.raises(RegistryError, match="no published versions"):
             registry.resolve("ghost")
 
-    def test_publish_commits_atomically(self, trained_predictors, tmp_path):
+    def test_publish_commits_atomically(self, tiny_predictors, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
         # No staging leftovers: only the committed version and the pointer
         # (plus dotted bookkeeping files no reader ever matches).
         contents = sorted(p.name for p in (tmp_path / "reg" / "dnn").iterdir()
                           if not p.name.startswith("."))
         assert contents == ["LATEST", "v0001"]
 
-    def test_half_written_staging_is_invisible(self, trained_predictors,
+    def test_half_written_staging_is_invisible(self, tiny_predictors,
                                                tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
         # Simulate a crash mid-publish: a staging dir that never committed.
         (tmp_path / "reg" / "dnn" / ".staging-v0002" / "weights.npz"
          ).parent.mkdir()
@@ -103,7 +103,7 @@ class TestPublishing:
         assert registry.latest("dnn") == "v0001"
         assert registry.validate() == []
 
-    def test_failed_publish_leaves_no_trace(self, trained_predictors,
+    def test_failed_publish_leaves_no_trace(self, tiny_predictors,
                                             tmp_path, monkeypatch):
         import repro.registry.registry as registry_module
 
@@ -114,7 +114,7 @@ class TestPublishing:
 
         monkeypatch.setattr(registry_module, "save_artifact", boom)
         with pytest.raises(RuntimeError):
-            registry.publish(trained_predictors["dnn"], "dnn")
+            registry.publish(tiny_predictors["dnn"], "dnn")
         # No phantom model with zero versions, no staging litter.
         assert registry.models() == []
         assert not (tmp_path / "reg" / "dnn").exists()
@@ -125,11 +125,11 @@ class TestPublishing:
         assert problems == \
             ["x@../../etc: invalid version (expected the form v0001)"]
 
-    def test_publish_pointer_never_moves_backwards(self, trained_predictors,
+    def test_publish_pointer_never_moves_backwards(self, tiny_predictors,
                                                    tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
-        registry.publish(trained_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
         assert registry.latest("dnn") == "v0002"
         # A stalled publisher's late pointer write must not roll back.
         registry._advance_latest("dnn", "v0001")
@@ -138,7 +138,7 @@ class TestPublishing:
         registry.set_latest("dnn", "v0001")
         assert registry.latest("dnn") == "v0001"
 
-    def test_commit_preserves_staging_on_io_error(self, trained_predictors,
+    def test_commit_preserves_staging_on_io_error(self, tiny_predictors,
                                                   tmp_path, monkeypatch):
         import errno
         from pathlib import Path
@@ -159,10 +159,10 @@ class TestPublishing:
         # the staged bundle (the only copy of the artifact) survives.
         assert (staging / "weights").read_text() == "the only copy"
 
-    def test_concurrent_publish_version_collision(self, trained_predictors,
+    def test_concurrent_publish_version_collision(self, tiny_predictors,
                                                   tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
         # Simulate a racing publisher that computed the same next version:
         # its staging is private, and its commit loses cleanly.
         staging = registry._stage("dnn", "v0001")
@@ -182,11 +182,11 @@ class TestPublishing:
 
 
 class TestResolution:
-    def test_entries_and_manifest_fields(self, trained_predictors, tmp_path):
+    def test_entries_and_manifest_fields(self, tiny_predictors, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn",
+        registry.publish(tiny_predictors["dnn"], "dnn",
                          provenance={"scale": "tiny"})
-        registry.publish(trained_predictors["snn"], "snn")
+        registry.publish(tiny_predictors["snn"], "snn")
         entries = list(registry.entries())
         assert [(e.name, e.version) for e in entries] == \
             [("dnn", "v0001"), ("snn", "v0001")]
@@ -194,22 +194,22 @@ class TestResolution:
         assert entries[0].provenance["scale"] == "tiny"
         assert entries[0].n_parameters > 0
 
-    def test_load_serves(self, trained_predictors, reg_source, reg_collection,
+    def test_load_serves(self, tiny_predictors, tiny_source, tiny_collection,
                          tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
         artifact = registry.load("dnn")
         assert isinstance(artifact, PredictorArtifact)
         service = PredictionService.from_artifact(
-            artifact, reg_source, reg_collection.dataset
+            artifact, tiny_source, tiny_collection.dataset
         )
         channel = next(iter(artifact.channel_index))
         assert service.knows_channel(channel)
 
-    def test_resolve_rejects_malformed_version(self, trained_predictors,
+    def test_resolve_rejects_malformed_version(self, tiny_predictors,
                                                tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
         for bad in ("../../elsewhere", ".staging-v0002-x", "latest!", "v1"):
             with pytest.raises(RegistryError, match="invalid version"):
                 registry.resolve("dnn", bad)
@@ -221,15 +221,15 @@ class TestResolution:
 
 
 class TestValidation:
-    def test_clean_registry_validates(self, trained_predictors, tmp_path):
+    def test_clean_registry_validates(self, tiny_predictors, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        registry.publish(trained_predictors["dnn"], "dnn")
-        registry.publish(trained_predictors["snn"], "snn")
+        registry.publish(tiny_predictors["dnn"], "dnn")
+        registry.publish(tiny_predictors["snn"], "snn")
         assert registry.validate() == []
 
-    def test_tampering_detected(self, trained_predictors, tmp_path):
+    def test_tampering_detected(self, tiny_predictors, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        entry = registry.publish(trained_predictors["dnn"], "dnn")
+        entry = registry.publish(tiny_predictors["dnn"], "dnn")
         weights = entry.path / WEIGHTS_NAME
         blob = bytearray(weights.read_bytes())
         blob[10] ^= 0xFF
@@ -252,9 +252,9 @@ class TestValidation:
         assert problems == ["snn: LATEST points at missing version 'v0001'"]
 
     def test_dangling_latest_reported_despite_broken_bundle(
-            self, trained_predictors, tmp_path):
+            self, tiny_predictors, tmp_path):
         registry = ModelRegistry(tmp_path / "reg")
-        entry = registry.publish(trained_predictors["dnn"], "dnn")
+        entry = registry.publish(tiny_predictors["dnn"], "dnn")
         (entry.path / "manifest.json").write_text("{ not json")
         (tmp_path / "reg" / "dnn" / "LATEST").write_text("v0099\n")
         problems = registry.validate()

@@ -1,6 +1,6 @@
 """Fixtures for the fault-injection suite: a real gateway plus a chaos
-proxy in front of it.  The model/world fixtures are shared with the
-store tests (same tiny world, same briefly trained artifact)."""
+proxy in front of it.  The world and registry come from
+``tests/conftest.py``; the service factory is the store tests'."""
 
 from __future__ import annotations
 
@@ -10,22 +10,19 @@ from repro.gateway import GatewayApp, serve_in_thread
 from tests.resilience.chaos import ChaosProxy
 from tests.store.conftest import (  # noqa: F401 - registered as fixtures
     announcements_from,
-    st_collection,
     st_positives,
-    st_registry,
     st_service,
-    st_source,
 )
 
 
 @pytest.fixture
-def live_gateway(st_registry, st_service):  # noqa: F811 - fixture params
+def live_gateway(tiny_registry, st_service):  # noqa: F811 - fixture params
     """Factory for real HTTP gateways; all shut down on teardown."""
     servers = []
 
     def start(service=None, **server_kwargs):
         app = GatewayApp(service if service is not None else st_service(),
-                         registry=st_registry)
+                         registry=tiny_registry)
         server, _thread = serve_in_thread(app, **server_kwargs)
         servers.append(server)
         return app, server

@@ -119,10 +119,10 @@ def _wait_for_respawn(reader: _LineReader, slot: int, old_pid: int,
 
 @pytest.mark.slow
 class TestWorkerPoolLifecycle:
-    def test_crash_respawn_dedup_parity_and_drain(self, st_registry,
+    def test_crash_respawn_dedup_parity_and_drain(self, tiny_registry,
                                                   st_service, st_positives,
                                                   tmp_path):
-        artifact = st_registry.resolve("snn")
+        artifact = tiny_registry.resolve("snn")
         db = tmp_path / "events.db"
         streamed = announcements_from(st_positives, 3)
         probe = probe_for(streamed[0])
@@ -221,11 +221,11 @@ def test_print_line_writes_each_line_once(monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workers", [1, 2])
-def test_stats_snapshots_follow_snapshot_s(st_registry, tmp_path, workers):
+def test_stats_snapshots_follow_snapshot_s(tiny_registry, tmp_path, workers):
     """``--snapshot-s 30`` over a few seconds of serving: no periodic
     snapshot falls due, so each worker writes only its final one."""
     db = tmp_path / "events.db"
-    proc, reader, url = _spawn_pool(st_registry.resolve("dnn"), db, workers,
+    proc, reader, url = _spawn_pool(tiny_registry.resolve("dnn"), db, workers,
                                     snapshot_s=30)
     try:
         _worker_pids(reader, expect=workers)

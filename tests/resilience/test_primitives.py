@@ -11,9 +11,7 @@ from repro.resilience import (
     CircuitOpenError,
     Deadline,
     DeadlineExceeded,
-    NO_RETRY,
     RetryPolicy,
-    call_with_retry,
     current_deadline,
     deadline_scope,
 )
@@ -116,79 +114,6 @@ class TestRetryPolicy:
     def test_attempt_is_one_based(self):
         with pytest.raises(ValueError):
             RetryPolicy().delay(0)
-
-
-class TestCallWithRetry:
-    def test_retries_then_succeeds(self):
-        sleeps = []
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ConnectionError("nope")
-            return "ok"
-
-        result = call_with_retry(
-            flaky, policy=RetryPolicy(max_attempts=3, jitter=0.0),
-            retryable=(ConnectionError,), sleep=sleeps.append,
-        )
-        assert result == "ok"
-        assert len(attempts) == 3
-        assert sleeps == [0.05, 0.1]
-
-    def test_exhaustion_reraises_the_last_error(self):
-        def always_fails():
-            raise ConnectionError("still down")
-
-        with pytest.raises(ConnectionError, match="still down"):
-            call_with_retry(
-                always_fails, policy=RetryPolicy(max_attempts=2, jitter=0.0),
-                retryable=(ConnectionError,), sleep=lambda _s: None,
-            )
-
-    def test_non_retryable_errors_pass_straight_through(self):
-        attempts = []
-
-        def fails_differently():
-            attempts.append(1)
-            raise KeyError("fatal")
-
-        with pytest.raises(KeyError):
-            call_with_retry(fails_differently, retryable=(ConnectionError,),
-                            sleep=lambda _s: None)
-        assert len(attempts) == 1
-
-    def test_no_retry_policy_means_one_attempt(self):
-        attempts = []
-
-        def fails():
-            attempts.append(1)
-            raise ConnectionError
-
-        with pytest.raises(ConnectionError):
-            call_with_retry(fails, policy=NO_RETRY,
-                            retryable=(ConnectionError,),
-                            sleep=lambda _s: None)
-        assert len(attempts) == 1
-
-    def test_on_retry_hook_sees_attempt_error_delay(self):
-        calls = []
-
-        def flaky():
-            if not calls:
-                raise ConnectionError("first")
-            return "ok"
-
-        call_with_retry(
-            flaky, policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            retryable=(ConnectionError,),
-            on_retry=lambda *a: calls.append(a), sleep=lambda _s: None,
-        )
-        [(attempt, exc, delay)] = calls
-        assert attempt == 1
-        assert str(exc) == "first"
-        assert delay == 0.05
 
 
 class TestCircuitBreaker:

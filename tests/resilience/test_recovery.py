@@ -35,7 +35,7 @@ from tests.store.conftest import (
 
 
 class TestInProcessCrashRecovery:
-    def test_http_streamed_state_survives_a_crash(self, st_registry,
+    def test_http_streamed_state_survives_a_crash(self, tiny_registry,
                                                   st_service, st_positives,
                                                   tmp_path):
         db = tmp_path / "events.db"
@@ -45,7 +45,7 @@ class TestInProcessCrashRecovery:
         # First life: real HTTP traffic into a store-backed gateway.
         first_app = GatewayApp(
             st_service(store=SQLiteEventStore(db), arch="snn"),
-            registry=st_registry)
+            registry=tiny_registry)
         first_server, _ = serve_in_thread(first_app)
         client = GatewayClient(first_server.url)
         ids = [f"cli:recovery-{i}" for i in range(len(streamed))]
@@ -65,7 +65,7 @@ class TestInProcessCrashRecovery:
         reborn = st_service(store=store, arch="snn")
         recovered = rehydrate_service(reborn, store)
         assert recovered["observations"] == len(streamed)
-        second_app = GatewayApp(reborn, registry=st_registry)
+        second_app = GatewayApp(reborn, registry=tiny_registry)
         second_server, _ = serve_in_thread(second_app)
         try:
             client = GatewayClient(second_server.url)
@@ -143,10 +143,10 @@ def _spawn_gateway(artifact: Path, db: Path) -> tuple[subprocess.Popen,
 
 @pytest.mark.slow
 class TestSubprocessKill9:
-    def test_kill9_restart_rehydrate_bit_identical(self, st_registry,
+    def test_kill9_restart_rehydrate_bit_identical(self, tiny_registry,
                                                    st_service, st_positives,
                                                    tmp_path):
-        artifact = st_registry.resolve("snn")
+        artifact = tiny_registry.resolve("snn")
         db = tmp_path / "events.db"
         streamed = announcements_from(st_positives, 2)
         probe = probe_for(streamed[0])

@@ -15,6 +15,10 @@ from repro.sources import (
     ingest_raw,
 )
 
+# meta.json sampling values every later dataset build would crash on.
+BAD_SAMPLING = [("sequence_length", 0), ("sequence_length", -3),
+                ("max_negatives_per_event", -1)]
+
 
 class TestSyntheticExport:
     def test_canonical_files_exist(self, dump_dir):
@@ -142,6 +146,37 @@ class TestRawIngest:
             ingest_raw(tmp_path / "cols", messages=raw_files / "messages.jsonl",
                        candles=raw_files / "candles.csv",
                        coins=raw_files / "coins.csv")
+
+    @pytest.mark.parametrize("field, value", BAD_SAMPLING)
+    def test_bad_sampling_limits_write_no_dump(self, raw_files, tmp_path,
+                                               field, value):
+        out = tmp_path / "never"
+        with pytest.raises(SourceDataError, match=field):
+            ingest_raw(out, messages=raw_files / "messages.jsonl",
+                       candles=raw_files / "candles.csv",
+                       coins=raw_files / "coins.csv", **{field: value})
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", BAD_SAMPLING)
+    def test_dump_with_bad_sampling_limits_fails_to_load(
+            self, raw_files, tmp_path, field, value):
+        out = tmp_path / "edited"
+        ingest_raw(out, messages=raw_files / "messages.jsonl",
+                   candles=raw_files / "candles.csv",
+                   coins=raw_files / "coins.csv")
+        meta = json.loads((out / "meta.json").read_text())
+        meta[field] = value
+        (out / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(SourceDataError, match=f"meta.json: {field}"):
+            FileDatasetSource(out)
+
+    def test_zero_negative_cap_means_no_cap(self, raw_files, tmp_path):
+        source = ingest_raw(tmp_path / "uncapped",
+                            messages=raw_files / "messages.jsonl",
+                            candles=raw_files / "candles.csv",
+                            coins=raw_files / "coins.csv",
+                            max_negatives_per_event=0)
+        assert source.max_negatives_per_event == 0
 
 
 class TestReviewRegressions:

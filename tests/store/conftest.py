@@ -1,63 +1,24 @@
 """Shared fixtures for the durable-store tests.
 
-One tiny world and two briefly trained artifacts per session: a ``dnn``
-and an ``snn``.  The DNN ranker has no sequence encoder, so only the SNN
-makes a ranking depend on the folded pump history; history-parity tests
-serve it.  Tests get a factory making fresh :class:`PredictionService`
-instances (optionally wired to a store) so rehydration can be compared
-against a clean boot.
+The tiny world and the session registry come from ``tests/conftest.py``;
+these tests serve its ``dnn`` and ``snn`` artifacts.  The DNN ranker has
+no sequence encoder, so only the SNN makes a ranking depend on the folded
+pump history; history-parity tests serve it.  Tests get a factory making
+fresh :class:`PredictionService` instances (optionally wired to a store)
+so rehydration can be compared against a clean boot.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    TargetCoinPredictor,
-    Trainer,
-    make_model,
-    snn_config_for,
-)
-from repro.data import collect
-from repro.features import FeatureAssembler
-from repro.registry import ModelRegistry
 from repro.serving import Announcement, PredictionService
-from repro.simulation import SyntheticWorld
-from repro.sources import SyntheticWorldSource
-from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="session")
-def st_source():
-    return SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
-
-
-@pytest.fixture(scope="session")
-def st_collection(st_source):
-    return collect(st_source)
-
-
-@pytest.fixture(scope="session")
-def st_registry(st_source, st_collection, tmp_path_factory) -> ModelRegistry:
-    assembler = FeatureAssembler(st_source, st_collection.dataset)
-    assembled = assembler.assemble()
-    registry = ModelRegistry(tmp_path_factory.mktemp("store-registry"))
-    for arch in ("dnn", "snn"):
-        model = make_model(arch, snn_config_for(assembled), seed=0)
-        Trainer(epochs=1, seed=0).fit(
-            model, assembled.train, assembled.validation
-        )
-        predictor = TargetCoinPredictor(
-            st_source, st_collection.dataset, model, assembler
-        )
-        registry.publish(predictor, arch, provenance={"model": arch})
-    return registry
-
-
-@pytest.fixture(scope="session")
-def st_positives(st_collection):
+def st_positives(tiny_collection):
     positives = [
-        e for e in st_collection.dataset.examples
+        e for e in tiny_collection.dataset.examples
         if e.label == 1 and e.split == "test"
     ]
     assert len(positives) >= 3
@@ -93,12 +54,12 @@ def unobserved_ranking(make_service, probe: Announcement) -> tuple:
 
 
 @pytest.fixture
-def st_service(st_registry, st_source, st_collection):
+def st_service(tiny_registry, tiny_source, tiny_collection):
     """Factory: a fresh service from a session artifact."""
 
     def make(store=None, arch: str = "dnn") -> PredictionService:
         return PredictionService.from_artifact(
-            st_registry.resolve(arch), st_source, st_collection.dataset,
+            tiny_registry.resolve(arch), tiny_source, tiny_collection.dataset,
             store=store,
         )
 

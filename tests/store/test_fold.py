@@ -60,14 +60,14 @@ class TestSharedStoreFold:
         assert expected != unobserved_ranking(st_service, probe)
         assert exact(second.rank_one(probe).ranking) == expected
 
-    def test_reload_keeps_folding_peer_observations(self, st_registry,
+    def test_reload_keeps_folding_peer_observations(self, tiny_registry,
                                                     st_service,
                                                     st_positives, tmp_path):
         db = tmp_path / "events.db"
         observed = announcements_from(st_positives, 1)
         probe = probe_for(observed[0])
         app = GatewayApp(st_service(store=SQLiteEventStore(db), arch="snn"),
-                         registry=st_registry)
+                         registry=tiny_registry)
         peer = st_service(store=SQLiteEventStore(db), arch="snn")
 
         app.reload(ReloadRequestV1(ref="snn"))

@@ -562,6 +562,19 @@ class TestIngestCommand:
                      "--messages", "m.jsonl"]) == 2
         assert "--candles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--sequence-length", "0", "sequence_length"),
+        ("--max-negatives", "-1", "max_negatives_per_event"),
+    ])
+    def test_raw_mode_refuses_unusable_sampling_limits(
+            self, capsys, tmp_path, flag, value, field):
+        out = tmp_path / "d"
+        assert main(["ingest", "--out", str(out), "--messages", "m.jsonl",
+                     "--candles", "c.csv", "--coins", "k.csv",
+                     flag, value]) == 2
+        assert f"repro ingest: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFileSourceRoundtrip:
     """ingest → train --source file → registry → serve --source file."""
