@@ -142,15 +142,20 @@ def _open_store(args, command: str):
         return None, _fail(command, str(exc))
 
 
-def _boot(args, command: str, *, train: bool = False):
+def _boot(args, command: str, *, train: bool = False,
+          replay: bool = True):
     """The start ``serve`` and ``gateway`` share, run once per process.
 
-    Resolves ``--load``, builds ``--source``, runs ``collect`` and loads
-    the predictor from the artifact — or, with ``train`` (``serve``
-    without ``--load``), trains it.  Returns ``((source, collection,
-    predictor, artifact_path), error_code)``; exactly one is ``None``.
-    Every failure is reported here, so ``gateway`` exits 2 before it
-    binds a socket.
+    Resolves ``--load``, builds ``--source`` and loads the predictor from
+    the artifact — or, with ``train`` (``serve`` without ``--load``),
+    trains it.  With ``replay`` (``serve``, which replays the held-out
+    stream) it runs ``collect`` first and binds the artifact to the
+    collected dataset; without it (``gateway``) the predictor ranks from
+    the artifact's own histories, so neither §3 nor the message stream
+    runs, and the collection returned is ``None``.  Returns ``((source,
+    collection, predictor, artifact_path), error_code)``; exactly one is
+    ``None``.  Every failure is reported here, so ``gateway`` exits 2
+    before it binds a socket.
     """
     from repro.core import TargetCoinPredictor, train_predictor
     from repro.data import collect
@@ -168,7 +173,7 @@ def _boot(args, command: str, *, train: bool = False):
     if error is not None:
         return None, error
     try:
-        collection = collect(source)
+        collection = collect(source) if replay else None
         if train:
             predictor = train_predictor(
                 source, collection,
@@ -178,7 +183,8 @@ def _boot(args, command: str, *, train: bool = False):
             )
         else:
             predictor = TargetCoinPredictor.from_artifact(
-                artifact_path, source, collection.dataset
+                artifact_path, source,
+                collection.dataset if replay else None,
             )
     except ArtifactError as exc:
         return None, _fail(command, f"cannot load {artifact_path}: {exc}")
@@ -485,10 +491,11 @@ def cmd_gateway(args) -> int:
     loop — in-process for ``--workers 1``, forked under a supervisor for
     ``--workers N``.
 
-    The parent boots everything forks share copy-on-write (market source,
-    collection, the loaded predictor); each worker builds its *own*
-    store connection, service and app (``_build`` runs post-fork —
-    SQLite connections must not cross a fork).
+    The parent boots everything forks share copy-on-write (the market
+    source and the predictor loaded from the artifact, histories
+    included — no §3 collection and no message stream); each worker
+    builds its *own* store connection, service and app (``_build`` runs
+    post-fork — SQLite connections must not cross a fork).
     """
     if args.max_batch < 1:
         return _fail("gateway", "--max-batch must be >= 1")
@@ -507,7 +514,7 @@ def cmd_gateway(args) -> int:
     if args.slow_ms < 0:
         return _fail("gateway", "--slow-ms must be >= 0")
 
-    boot, error = _boot(args, "gateway")
+    boot, error = _boot(args, "gateway", replay=False)
     if error is not None:
         return error
     _source, _collection, predictor, artifact_path = boot

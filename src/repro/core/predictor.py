@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.snn import Batch
-from repro.data.dataset import TargetCoinDataset
+from repro.data.dataset import ServingSlice, TargetCoinDataset
 from repro.features.assembler import FeatureAssembler
 from repro.features.sequence import SequenceFeatures, encode_history
 from repro.markets import pump_candidates
@@ -238,8 +238,11 @@ class TargetCoinPredictor:
     source:
         The data backend (market/universe oracle) used to compute features.
     dataset:
-        The extracted P&D dataset (provides per-channel pump histories and
-        split statistics for feature standardization).
+        The extracted P&D dataset (provides the channel vocabulary,
+        per-channel pump histories and the train split for feature
+        standardization), or just its
+        :class:`~repro.data.dataset.ServingSlice` when ``scalers`` are
+        given — what a predictor bound from an artifact holds.
     model:
         A trained deep ranker (SNN or any Table 5 competitor).
     assembler:
@@ -250,8 +253,9 @@ class TargetCoinPredictor:
         train split when omitted.
     """
 
-    def __init__(self, source: DataSource, dataset: TargetCoinDataset,
-                 model: Module, assembler: FeatureAssembler | None = None,
+    def __init__(self, source: DataSource,
+                 dataset: TargetCoinDataset | ServingSlice, model: Module,
+                 assembler: FeatureAssembler | None = None,
                  scalers: tuple[StandardScaler, StandardScaler] | None = None):
         self.source = source
         self.dataset = dataset
@@ -332,13 +336,16 @@ class TargetCoinPredictor:
 
     @classmethod
     def from_artifact(cls, artifact, source,
-                      dataset: TargetCoinDataset) -> "TargetCoinPredictor":
+                      dataset: TargetCoinDataset | None = None
+                      ) -> "TargetCoinPredictor":
         """Reconstruct a predictor from an artifact — no training involved.
 
         ``artifact`` is a :class:`repro.registry.PredictorArtifact` or a
         path to a saved artifact directory; ``source`` is the data backend
         (which need not be the backend the model was trained on, as long
-        as it describes the same channel/coin universe).
+        as it describes the same channel/coin universe).  Without
+        ``dataset`` the predictor ranks from the artifact's serving slice
+        (see :meth:`repro.registry.PredictorArtifact.to_predictor`).
         """
         from repro.registry import PredictorArtifact
 

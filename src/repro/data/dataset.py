@@ -42,6 +42,28 @@ def history_window(samples: Sequence[PnDSample], time: float,
 
 
 @dataclass(frozen=True)
+class ServingSlice:
+    """The part of a :class:`TargetCoinDataset` that ranking reads.
+
+    The channel vocabulary, the split boundaries, and each channel's pump
+    history before the validation/test boundary ``split_hours[1]`` — the
+    history a served ranking may look back on.  A predictor artifact
+    carries one, so a served predictor needs no dataset; anything that
+    takes a dataset only to rank (:class:`~repro.features.FeatureAssembler`,
+    :class:`~repro.core.TargetCoinPredictor`) takes a slice as well.
+    """
+
+    channel_ids: tuple[int, ...]
+    split_hours: tuple[float, float]
+    history: dict[int, list[PnDSample]]   # channel -> chronological samples
+
+    def history_before(self, channel_id: int, time: float,
+                       length: int) -> list[PnDSample]:
+        """The channel's last ``length`` samples strictly before ``time``."""
+        return history_window(self.history.get(channel_id, ()), time, length)
+
+
+@dataclass(frozen=True)
 class TargetCoinExample:
     """One (channel, candidate coin, time) row of the ranking task."""
 
@@ -126,6 +148,25 @@ class TargetCoinDataset:
                        length: int) -> list[PnDSample]:
         """The channel's last ``length`` samples strictly before ``time``."""
         return history_window(self.history.get(channel_id, ()), time, length)
+
+    @property
+    def channel_ids(self) -> tuple[int, ...]:
+        """The channel vocabulary: every channel with a ranking list, sorted."""
+        return tuple(sorted({e.channel_id for e in self.examples}))
+
+    def serving_slice(self) -> ServingSlice:
+        """What ranking reads of this dataset (see :class:`ServingSlice`).
+
+        A channel keeps every sample before ``split_hours[1]``; a channel
+        with none is left out.
+        """
+        cutoff = self.split_hours[1]
+        history = {}
+        for channel_id, samples in self.history.items():
+            kept = history_window(samples, cutoff, len(samples))
+            if kept:
+                history[channel_id] = kept
+        return ServingSlice(self.channel_ids, self.split_hours, history)
 
     def table4(self) -> dict[str, dict[str, int]]:
         """Counts in the shape of the paper's Table 4."""

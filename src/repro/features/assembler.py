@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.dataset import TargetCoinDataset, TargetCoinExample
+from repro.data.dataset import ServingSlice, TargetCoinDataset, TargetCoinExample
 from repro.features.coin import COIN_FEATURE_NAMES, coin_feature_matrix
 from repro.features.market_windows import MARKET_FEATURE_NAMES, market_feature_matrix
 from repro.features.sequence import (
@@ -82,7 +82,10 @@ class FeatureAssembler:
 
     The assembler owns the raw numeric row (:meth:`candidate_block` and
     :meth:`numeric_rows`); the predictor built on top computes served
-    rows through the same two methods.
+    rows through the same two methods.  Ranking reads only the dataset's
+    :class:`~repro.data.dataset.ServingSlice`, so an assembler over a
+    slice serves like one over the dataset; only :meth:`assemble` needs
+    the dataset's examples.
 
     ``signal_engine`` optionally appends market-microstructure signal
     channels (squashed per-signal scores plus the composite; see
@@ -92,15 +95,16 @@ class FeatureAssembler:
     the signals package (which sits above the feature layer).
     """
 
-    def __init__(self, source: DataSource, dataset: TargetCoinDataset,
+    def __init__(self, source: DataSource,
+                 dataset: TargetCoinDataset | ServingSlice,
                  signal_engine=None):
         self.source = source
         self.dataset = dataset
         self.signal_engine = signal_engine
         self.sequence_length = self.source.sequence_length
-        # Channel vocabulary: every channel appearing anywhere in the data.
-        channel_ids = sorted({e.channel_id for e in dataset.examples})
-        self.channel_index = {cid: i for i, cid in enumerate(channel_ids)}
+        self.channel_index = {
+            cid: i for i, cid in enumerate(dataset.channel_ids)
+        }
         self.subscribers = self.source.channels.subscriber_counts()
         # Encoded pump histories, shared with the predictor built on top so
         # scaler fitting and offline ranking reuse assembly-time encodings.

@@ -358,13 +358,14 @@ class GatewayApp:
                 self._m_reloads.labels(outcome="unknown_model").inc()
                 raise GatewayFault(E_UNKNOWN_MODEL, 404, str(exc)) from None
             old_service = self._service
-            predictor = old_service.predictor
             options = dict(self._service_options)
             options.setdefault("store", old_service.store)
             try:
                 manifest = read_manifest(path)
+                # Bound like the boot model, from the artifact alone;
+                # take_over below replaces its seeded histories anyway.
                 replacement = PredictionService.from_artifact(
-                    path, predictor.source, predictor.dataset,
+                    path, old_service.predictor.source,
                     stats=old_service.stats, **options,
                 )
             except ArtifactError as exc:

@@ -32,20 +32,23 @@ from __future__ import annotations
 
 import threading
 
-from repro.gateway.schema import E_INTERNAL, GatewayFault
+from repro.gateway.schema import E_INTERNAL, GatewayFault, internal_error
 from repro.resilience import current_deadline
 from repro.serving.online import Announcement
 from repro.serving.service import Alert
+from repro.telemetry import current_trace_id
 
 
 class _Entry:
     """One queued rank request and the answer its flush leaves for it."""
 
-    __slots__ = ("announcement", "deadline", "done", "alert", "fault")
+    __slots__ = ("announcement", "deadline", "trace_id", "done", "alert",
+                 "fault")
 
     def __init__(self, announcement: Announcement, deadline):
         self.announcement = announcement
         self.deadline = deadline
+        self.trace_id = current_trace_id()
         self.done = False
         self.alert: Alert | None = None
         self.fault: GatewayFault | None = None
@@ -105,10 +108,10 @@ class MicroBatcher:
                 if entry.fault is None and entry.alert is None:
                     entry.fault = fault
         except Exception as exc:  # noqa: BLE001 - boundary: fault, not hang
-            fault = GatewayFault(
-                E_INTERNAL, 500,
-                f"internal error ({type(exc).__name__}); see server logs",
-            )
+            fault = internal_error(exc, tuple(
+                entry.trace_id for entry in batch
+                if entry.trace_id is not None
+            ))
             for entry in batch:
                 if entry.fault is None and entry.alert is None:
                     entry.fault = fault

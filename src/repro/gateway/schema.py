@@ -108,9 +108,16 @@ DEADLINE_HEADER = "X-Repro-Deadline-Ms"
 
 
 class GatewayFault(Exception):
-    """A request the gateway refuses, as a (code, HTTP status, message)."""
+    """A request the gateway refuses, as a (code, HTTP status, message).
 
-    def __init__(self, code: str, status: int, message: str):
+    A fault standing for an unexpected exception (see
+    :func:`internal_error`) also keeps that exception and the trace ids of
+    the requests it failed, for the server log only — never on the wire.
+    """
+
+    def __init__(self, code: str, status: int, message: str, *,
+                 cause: BaseException | None = None,
+                 trace_ids: tuple[str, ...] = ()):
         # Registration is enforced statically by `repro lint` (WIRE001);
         # this debug-build check only catches codes built at runtime,
         # which the linter cannot see.  Stripped under `python -O`.
@@ -120,6 +127,31 @@ class GatewayFault(Exception):
         self.code = code
         self.status = status
         self.message = message
+        self.trace_ids = trace_ids
+        self._causes = [cause] if cause is not None else []
+
+    def take_cause(self) -> BaseException | None:
+        """The exception behind this fault, to its first caller only.
+
+        One micro-batch failure answers every request of the flush with
+        the same fault; ``list.pop`` is atomic, so exactly one of their
+        handler threads logs the traceback.
+        """
+        try:
+            return self._causes.pop()
+        except IndexError:
+            return None
+
+
+def internal_error(exc: BaseException,
+                   trace_ids: tuple[str, ...] = ()) -> GatewayFault:
+    """The 500 for an unexpected exception: the wire names only its type;
+    the exception itself rides along for the server log."""
+    return GatewayFault(
+        E_INTERNAL, 500,
+        f"internal error ({type(exc).__name__}); see server logs",
+        cause=exc, trace_ids=trace_ids,
+    )
 
 
 def error_envelope(fault: GatewayFault) -> dict:

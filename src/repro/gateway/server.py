@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.gateway.app import GatewayApp
 from repro.gateway.schema import (
     DEADLINE_HEADER,
-    E_INTERNAL,
     E_METHOD_NOT_ALLOWED,
     E_NOT_FOUND,
     E_OVERLOADED,
@@ -51,6 +51,7 @@ from repro.gateway.schema import (
     decode_json_body,
     encode_body,
     error_envelope,
+    internal_error,
 )
 from repro.resilience import AdmissionQueue, Deadline, deadline_scope
 from repro.telemetry import (
@@ -303,11 +304,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 status = 0
             except Exception as exc:  # noqa: BLE001 - boundary: envelope, not trace
                 self.close_connection = True
-                fault = GatewayFault(
-                    E_INTERNAL, 500,
-                    f"internal error ({type(exc).__name__}); see server logs",
-                )
-                self._record_fault(path, fault, exc=exc)
+                fault = internal_error(exc, (self._trace_id,))
+                self._record_fault(path, fault)
                 reply = (500, self._send_json,
                          encode_body(error_envelope(fault)))
             root.set("status", status)
@@ -327,9 +325,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         except BrokenPipeError:  # pragma: no cover - client went away
             pass
 
-    def _record_fault(self, path: str, fault: GatewayFault,
-                      exc: Exception | None = None) -> None:
-        """One error envelope = one counter bump + one structured line."""
+    def _record_fault(self, path: str, fault: GatewayFault) -> None:
+        """One error envelope = one counter bump + one structured line.
+
+        The line for an unexpected exception also carries its message,
+        its traceback and the trace ids of every request it failed — once
+        per failure, however many coalesced requests it answered.
+        """
         app = self.app
         app.count("errors")
         app.record_error(fault.code)
@@ -339,8 +341,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             "code": fault.code, "status": fault.status, "endpoint": path,
             "method": self.command, "message": str(fault),
         }
-        if exc is not None:
-            fields["exception"] = type(exc).__name__
+        cause = fault.take_cause()
+        if cause is not None:
+            fields["exception"] = type(cause).__name__
+            fields["detail"] = str(cause)
+            fields["traceback"] = "".join(traceback.format_exception(
+                type(cause), cause, cause.__traceback__))
+            fields["trace_ids"] = list(fault.trace_ids)
         emit("gateway_error", **fields)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API

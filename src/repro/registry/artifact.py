@@ -17,6 +17,8 @@ working predictor::
                         # metadata, training provenance, file checksums
         weights.npz     # ranker parameters (nn.serialize.save_state_dict)
         state.npz       # fitted scaler statistics (exact float64)
+        history.npz     # split boundaries + the pump histories serving
+                        # seeds from (data.dataset.ServingSlice)
 
 Loading re-verifies integrity (sha256 per file) and schema compatibility
 before any array is trusted, rebuilds the ranker via
@@ -55,6 +57,9 @@ import numpy as np
 
 from repro.core.baselines import DEEP_MODEL_NAMES, make_model
 from repro.core.snn import SNNConfig
+from repro.data.dataset import ServingSlice, TargetCoinDataset
+from repro.data.sessions import PnDSample
+from repro.features.sequence import pad_coin_id
 from repro.ml.scaling import StandardScaler
 from repro.nn.compile import prewarm
 from repro.nn.module import Module
@@ -63,22 +68,37 @@ from repro.telemetry import default_registry, span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.predictor import TargetCoinPredictor
-    from repro.data.dataset import TargetCoinDataset
 
 # v2: the manifest's ``features`` section records ``signal_channels`` —
 # the microstructure signal columns (see repro.signals) appended to the
 # numeric block, empty for message-only models.  A v1 artifact cannot
 # express whether its scalers were fitted over signal columns, so it is
 # not silently loadable.
-SCHEMA_VERSION = 2
+# v3: ``history.npz`` carries the dataset's serving slice (split
+# boundaries and every pump-history sample before ``split_hours[1]``), so
+# a predictor binds without a dataset.  A v2 artifact has no histories to
+# seed a service from.
+SCHEMA_VERSION = 3
 ARTIFACT_KIND = "repro/predictor-artifact"
 
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.npz"
 STATE_NAME = "state.npz"
+HISTORY_NAME = "history.npz"
+
+#: The files every artifact bundles, each with a manifest checksum.
+BUNDLE_FILES = (WEIGHTS_NAME, STATE_NAME, HISTORY_NAME)
 
 # state.npz keys holding the fitted scaler statistics.
 _STATE_KEYS = ("numeric_mean", "numeric_std", "seq_mean", "seq_std")
+
+# history.npz keys: the split boundaries, then one column per PnDSample
+# field (in field order), one row per sample, channel by channel in
+# chronological order.
+_SAMPLE_DTYPES = {"channel_id": np.int64, "coin_id": np.int64,
+                  "exchange_id": np.int64, "pair": np.str_,
+                  "time": np.float64}
+_HISTORY_KEYS = ("split_hours", *_SAMPLE_DTYPES)
 
 
 def _record_load(started: float, outcome: str) -> None:
@@ -215,13 +235,44 @@ def _snapshot_scaler(scaler: StandardScaler) -> StandardScaler:
     return _restore_scaler(mean.copy(), std.copy())
 
 
+def _history_arrays(serving: ServingSlice) -> dict[str, np.ndarray]:
+    """``history.npz``'s arrays (see :data:`_HISTORY_KEYS`)."""
+    samples = [s for channel in serving.history.values() for s in channel]
+    arrays = {name: np.asarray([getattr(s, name) for s in samples],
+                               dtype=dtype)
+              for name, dtype in _SAMPLE_DTYPES.items()}
+    arrays["split_hours"] = np.asarray(serving.split_hours, dtype=np.float64)
+    return arrays
+
+
+def _history_from_arrays(arrays: dict[str, np.ndarray],
+                         path: Path) -> tuple[tuple[float, float], dict]:
+    """Invert :func:`_history_arrays`: split boundaries and histories."""
+    split_hours = arrays["split_hours"]
+    columns = [arrays[name] for name in _SAMPLE_DTYPES]
+    if split_hours.shape != (2,) \
+            or {column.shape for column in columns} != {columns[0].shape} \
+            or columns[0].ndim != 1:
+        raise ArtifactIntegrityError(
+            f"{path} has malformed history arrays — the artifact is "
+            "corrupt or was tampered with"
+        )
+    history: dict[int, list[PnDSample]] = {}
+    for fields in zip(*(column.tolist() for column in columns)):
+        sample = PnDSample(*fields)
+        history.setdefault(sample.channel_id, []).append(sample)
+    return (float(split_hours[0]), float(split_hours[1])), history
+
+
 @dataclass
 class PredictorArtifact:
     """Everything needed to reconstruct a servable predictor.
 
     In memory the weights live as a plain ``state_dict``; :meth:`save`
     persists the bundle, :meth:`load` restores it with schema + integrity
-    verification, and :meth:`to_predictor` rebinds it to a world/dataset.
+    verification, and :meth:`to_predictor` rebinds it to a data source.
+    ``serving`` is the training dataset's :class:`ServingSlice`, so the
+    rebound predictor needs no dataset.
     """
 
     model_name: str
@@ -232,6 +283,7 @@ class PredictorArtifact:
     channel_index: dict[int, int]
     subscribers: dict[int, int]
     sequence_length: int
+    serving: ServingSlice
     signal_channels: tuple[str, ...] = ()
     provenance: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -244,6 +296,9 @@ class PredictorArtifact:
         """Snapshot a trained predictor into an artifact bundle."""
         merged = dict(getattr(predictor, "provenance", None) or {})
         merged.update(provenance or {})
+        serving = predictor.dataset
+        if not isinstance(serving, ServingSlice):
+            serving = serving.serving_slice()
         return cls(
             model_name=_model_name(predictor.model),
             config=predictor.model.config,
@@ -255,6 +310,7 @@ class PredictorArtifact:
             channel_index=dict(predictor._channel_index),
             subscribers=dict(predictor.assembler.subscribers),
             sequence_length=predictor.assembler.sequence_length,
+            serving=serving,
             signal_channels=tuple(
                 predictor.assembler.signal_engine.feature_names
             ) if predictor.assembler.signal_engine is not None else (),
@@ -320,6 +376,8 @@ class PredictorArtifact:
             numeric_mean=numeric[0], numeric_std=numeric[1],
             seq_mean=seq[0], seq_std=seq[1],
         )
+        np.savez_compressed(path / HISTORY_NAME,
+                            **_history_arrays(self.serving))
         manifest = {
             "kind": ARTIFACT_KIND,
             "schema_version": self.schema_version,
@@ -341,7 +399,7 @@ class PredictorArtifact:
             "provenance": self.provenance,
             "files": {
                 name: {"sha256": _sha256(path / name)}
-                for name in (WEIGHTS_NAME, STATE_NAME)
+                for name in BUNDLE_FILES
             },
         }
         (path / MANIFEST_NAME).write_text(
@@ -373,17 +431,23 @@ class PredictorArtifact:
         manifest = read_manifest(path)
         verify_files(path, manifest)
 
-        def read_scalers():
-            with np.load(path / STATE_NAME) as archive:
-                missing = [key for key in _STATE_KEYS if key not in archive]
+        def read_arrays(name, keys, what):
+            with np.load(path / name) as archive:
+                missing = [key for key in keys if key not in archive]
                 if missing:
                     raise ArtifactIntegrityError(
-                        f"{path / STATE_NAME} is missing scaler arrays: "
-                        f"{missing}"
+                        f"{path / name} is missing {what} arrays: {missing}"
                     )
-                return {key: archive[key] for key in _STATE_KEYS}
+                return {key: archive[key] for key in keys}
 
-        state_arrays = _guarded_read(path / STATE_NAME, read_scalers)
+        state_arrays = _guarded_read(
+            path / STATE_NAME,
+            lambda: read_arrays(STATE_NAME, _STATE_KEYS, "scaler"),
+        )
+        split_hours, history = _history_from_arrays(_guarded_read(
+            path / HISTORY_NAME,
+            lambda: read_arrays(HISTORY_NAME, _HISTORY_KEYS, "history"),
+        ), path / HISTORY_NAME)
         weights = _guarded_read(
             path / WEIGHTS_NAME,
             lambda: read_state_dict(path / WEIGHTS_NAME),
@@ -399,6 +463,8 @@ class PredictorArtifact:
                 "hidden_dims":
                     tuple(manifest["model"]["config"]["hidden_dims"]),
             })
+            channel_index = {int(k): int(v)
+                             for k, v in features["channel_index"].items()}
             return cls(
                 model_name=manifest["model"]["name"],
                 config=config,
@@ -409,11 +475,14 @@ class PredictorArtifact:
                 seq_scaler=_restore_scaler(
                     state_arrays["seq_mean"], state_arrays["seq_std"]
                 ),
-                channel_index={int(k): int(v)
-                               for k, v in features["channel_index"].items()},
+                channel_index=channel_index,
                 subscribers={int(k): int(v)
                              for k, v in features["subscribers"].items()},
                 sequence_length=int(features["sequence_length"]),
+                serving=ServingSlice(
+                    tuple(sorted(channel_index, key=channel_index.get)),
+                    split_hours, history,
+                ),
                 signal_channels=tuple(
                     str(s) for s in features["signal_channels"]
                 ),
@@ -451,19 +520,22 @@ class PredictorArtifact:
         prewarm(model)
         return model
 
-    def to_predictor(self, source,
-                     dataset: "TargetCoinDataset") -> "TargetCoinPredictor":
-        """Bind the artifact to a data source/dataset — no training, no
-        refitting.
+    def to_predictor(self, source, dataset: TargetCoinDataset | None = None
+                     ) -> "TargetCoinPredictor":
+        """Bind the artifact to a data source — no training, no refitting.
 
         ``source`` is any :class:`repro.sources.DataSource` backend — it
         need *not* be the backend the model was trained on; a model
         trained against the simulator can serve a recorded file dump and
         vice versa, as long as both describe the same channel/coin
-        universe.  The dataset must
-        describe the same channel universe the model was trained on (its
-        embedding rows are positional); a vocabulary mismatch fails loudly
-        instead of silently scoring with shuffled channel embeddings.
+        universe.  Without ``dataset`` the predictor ranks from the
+        artifact's own :attr:`serving` slice; a
+        :class:`~repro.data.dataset.TargetCoinDataset` passed instead must
+        describe the same channel vocabulary the model was trained on (its
+        embedding rows are positional).  Either way the channel
+        vocabulary, subscriber counts, sequence length and coin count are
+        checked against the source, so drift fails loudly instead of
+        silently scoring with shuffled embeddings.
         """
         from repro.core.predictor import TargetCoinPredictor
         from repro.features.assembler import FeatureAssembler
@@ -485,6 +557,8 @@ class PredictorArtifact:
                     "would be applied to the wrong columns — regenerate "
                     "the artifact"
                 )
+        if dataset is None:
+            dataset = self.serving
         assembler = FeatureAssembler(source, dataset,
                                      signal_engine=signal_engine)
         if assembler.channel_index != self.channel_index:
@@ -493,6 +567,14 @@ class PredictorArtifact:
                 f"index ({len(assembler.channel_index)} channels) does not "
                 f"match the artifact's ({len(self.channel_index)} channels); "
                 "was this artifact trained on a different dataset or scale?"
+            )
+        n_coin_ids = pad_coin_id(source.coins.n_coins) + 1
+        if n_coin_ids != self.config.n_coin_ids:
+            raise ArtifactError(
+                f"artifact/source coin drift: the model embeds "
+                f"{self.config.n_coin_ids - 1} coins but the data source "
+                f"lists {source.coins.n_coins}; was this artifact trained "
+                "on a different scale?"
             )
         if assembler.sequence_length != self.sequence_length:
             raise ArtifactError(
@@ -600,7 +682,7 @@ def read_manifest(path: str | Path) -> dict:
         problems.append("section 'files'")
     else:
         problems += [
-            f"files[{name!r}].sha256" for name in (WEIGHTS_NAME, STATE_NAME)
+            f"files[{name!r}].sha256" for name in BUNDLE_FILES
             if not isinstance(files.get(name), dict)
             or "sha256" not in files[name]
         ]
@@ -617,7 +699,7 @@ def verify_files(path: str | Path, manifest: dict | None = None) -> None:
     """Check every bundled file exists and matches its recorded sha256.
 
     ``read_manifest`` guarantees checksums exist for the canonical file
-    set (weights + state), so an emptied ``files`` section cannot
+    set (:data:`BUNDLE_FILES`), so an emptied ``files`` section cannot
     silently disable tamper protection.
     """
     started = time.perf_counter()

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.predictor import RankRequest, Ranking, TargetCoinPredictor
-from repro.data.dataset import history_window
+from repro.data.dataset import ServingSlice, history_window
 from repro.data.sessions import PnDSample
 from repro.nn.compile import prewarm
 from repro.serving.cache import FeatureCache
@@ -114,7 +114,9 @@ class PredictionService:
         Seed the per-channel history cache with dataset samples strictly
         before this time (defaults to the validation/test boundary, i.e.
         everything the model legitimately saw).  Streamed announcements
-        observed later extend the cache.
+        observed later extend the cache.  A predictor bound from an
+        artifact alone holds samples only up to that boundary, so a later
+        cutoff is refused.
     bucket_hours:
         Feature-time quantization (see :mod:`repro.serving.cache`).
     cache_entries:
@@ -141,8 +143,16 @@ class PredictionService:
             predictor.coin_market_block, bucket_hours=bucket_hours,
             max_entries=cache_entries, stats=self.stats,
         )
+        boundary = predictor.dataset.split_hours[1]
         if history_cutoff is None:
-            history_cutoff = predictor.dataset.split_hours[1]
+            history_cutoff = boundary
+        elif history_cutoff > boundary \
+                and isinstance(predictor.dataset, ServingSlice):
+            raise ValueError(
+                f"history_cutoff {history_cutoff} is past the artifact's "
+                f"serving histories, which end at {boundary}; pass the "
+                "dataset to seed from later samples"
+            )
         self.history_cutoff = history_cutoff
         # Trace AND verify the shared no-grad inference plan up front (on a
         # synthetic batch): the streaming engine serves alerts through the
@@ -168,19 +178,20 @@ class PredictionService:
                 self._history[channel_id] = seeded
 
     @classmethod
-    def from_artifact(cls, artifact, source, dataset,
+    def from_artifact(cls, artifact, source, dataset=None,
                       **kwargs) -> "PredictionService":
         """Boot a service from a saved predictor artifact — no training.
 
         ``artifact`` is a :class:`repro.registry.PredictorArtifact` or a
-        path to an artifact directory; ``source``/``dataset`` supply the
-        market oracle and channel histories the features read from (any
-        :class:`repro.sources.DataSource` backend, not necessarily the
-        one the model trained on).  All keyword arguments are forwarded
+        path to an artifact directory; ``source`` is the market oracle the
+        features read from (any :class:`repro.sources.DataSource`
+        backend, not necessarily the one the model trained on).  The
+        channel histories come from ``dataset`` when one is passed, else
+        from the artifact itself.  All keyword arguments are forwarded
         to the constructor, so a cold start is one call::
 
             service = PredictionService.from_artifact(
-                "models/snn/v0001", source, collection.dataset
+                "models/snn/v0001", source
             )
         """
         from repro.core.predictor import TargetCoinPredictor

@@ -46,6 +46,7 @@ from repro.utils.hashrng import (
     extend_hash,
     hash_normal,
     hash_uint64,
+    load_ndtri,
     normal_from_bits,
 )
 
@@ -248,6 +249,10 @@ class MarketSimulator:
             hash_uint64(self.seed, _VOLUME_BURST_STREAM, coins, j)
             for j in range(len(_VOLUME_BURST_PERIODS))
         ]
+        # Every candle query draws hashed normals: import their inverse
+        # CDF (scipy, ~0.3 s) with the simulator, not in the first query
+        # a freshly booted server answers.
+        load_ndtri()
         self._profiles: dict[int, list[PumpProfile]] = {}
         self._overlay_index: _OverlayIndex | None = None
         # Accumulation/ignition phase overlays (repro.simulation.phases);

@@ -2,7 +2,8 @@
 
 A world bundles the coin universe, channel population, scheduled P&D
 events, the market simulator (with event overlays attached) and the full
-Telegram message stream.  Everything is deterministic in ``config.seed``.
+Telegram message stream, generated the first time it is read.
+Everything is deterministic in ``config.seed``.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from repro.utils.config import ReproConfig
 
 @dataclass
 class SyntheticWorld:
-    """A fully-materialized simulated ecosystem."""
+    """A simulated ecosystem; its message stream is built on first read."""
 
     config: ReproConfig
     coins: CoinUniverse
     channels: ChannelPopulation
     events: EventLog
     market: MarketSimulator
-    messages: list[Message]
 
     @classmethod
     def generate(cls, config: ReproConfig | None = None) -> "SyntheticWorld":
@@ -39,17 +39,26 @@ class SyntheticWorld:
         market = MarketSimulator(coins)
         events = EventScheduler(config, coins, channels).schedule()
         market.attach_events(events.events)
-        messages = MessageGenerator(config, coins, channels, market).generate_all(
-            events.events
-        )
         return cls(
             config=config,
             coins=coins,
             channels=channels,
             events=events,
             market=market,
-            messages=messages,
         )
+
+    @cached_property
+    def messages(self) -> list[Message]:
+        """The full Telegram stream, chronologically sorted.
+
+        Generated on first read, since most of a world's build time goes
+        here and a served model never reads a message.  The generator
+        draws from its own config-seeded RNG and reads only world state
+        that never changes (the mood process is a pure hash of seed and
+        hour), so the stream has the same bits whenever it is first read
+        — phase overlays attached to the market included.
+        """
+        return self.message_generator().generate_all(self.events.events)
 
     # -- convenience views -------------------------------------------------------
 

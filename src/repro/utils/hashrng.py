@@ -22,11 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def _ndtri():
-    """Load ``scipy.special.ndtri`` on first use.
+def load_ndtri():
+    """Load ``scipy.special.ndtri``, importing scipy on the first call.
 
     Only the normal draws need the inverse normal CDF; the uniform and
-    integer hashes stay scipy-free.
+    integer hashes stay scipy-free.  A long-lived consumer of normal
+    draws calls this when it is built, so that none of its queries pays
+    the import.
     """
     try:
         from scipy.special import ndtri
@@ -109,7 +111,7 @@ def normal_from_bits(bits: np.ndarray) -> np.ndarray:
     """
     # Keep strictly inside (0, 1) so ndtri stays finite.
     u = np.clip(_uniform_from_bits(bits), 1e-12, 1.0 - 1e-12)
-    return _ndtri()(u)
+    return load_ndtri()(u)
 
 
 def hash_uniform(*keys) -> np.ndarray:

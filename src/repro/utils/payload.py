@@ -79,7 +79,11 @@ def payload_float(payload: dict, key: str, default=_MISSING) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"field {key!r} must be a number, "
                          f"got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int past float64's range
+        raise ValueError(f"field {key!r} is out of range for a "
+                         "float64") from None
     if not math.isfinite(value):
         raise ValueError(f"field {key!r} must be finite, got {value!r}")
     return value

@@ -18,23 +18,16 @@ from repro.core import (
     predict_scores,
     snn_config_for,
 )
-from repro.data import collect
-from repro.features import FeatureAssembler
 from repro.nn import get_compiled
-from repro.simulation import SyntheticWorld
-from repro.sources import SyntheticWorldSource
-from repro.utils import ReproConfig
 
 
 @pytest.fixture(scope="module")
-def pipeline():
-    source = SyntheticWorldSource(SyntheticWorld.generate(ReproConfig.tiny()))
-    collection = collect(source)
-    assembler = FeatureAssembler(source, collection.dataset)
-    assembled = assembler.assemble()
-    model = make_model("snn", snn_config_for(assembled), seed=0)
-    Trainer(epochs=3, seed=0).fit(model, assembled.train, assembled.validation)
-    return source, collection, assembler, assembled, model
+def pipeline(tiny_source, tiny_collection, tiny_assembler, tiny_assembled):
+    """The session's tiny world with a model of its own (3 epochs)."""
+    model = make_model("snn", snn_config_for(tiny_assembled), seed=0)
+    Trainer(epochs=3, seed=0).fit(model, tiny_assembled.train,
+                                  tiny_assembled.validation)
+    return tiny_source, tiny_collection, tiny_assembler, tiny_assembled, model
 
 
 def test_predict_scores_compiled_equals_eager_bitwise(pipeline):

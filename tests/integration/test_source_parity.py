@@ -12,45 +12,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    HR_KS,
-    Trainer,
-    evaluate_scores,
-    make_model,
-    predict_scores,
-    snn_config_for,
-)
-from repro.data import collect
-from repro.features import FeatureAssembler
+from repro.core import HR_KS, evaluate_scores, predict_scores
+from repro.features import AssembledSplit
 from repro.features.coin import coin_feature_matrix
 from repro.features.market_windows import market_feature_matrix
 from repro.features.sequence import SEQUENCE_NUMERIC_NAMES, encode_history, pad_coin_id
 from repro.ml.scaling import StandardScaler
-from repro.simulation import SyntheticWorld
-from repro.sources import SyntheticWorldSource
-from repro.utils import ReproConfig
+from tests.conftest import TINY_ARCHS
 
-RANKER_FAMILIES = ("snn", "dnn", "gru", "tcn")
-
-
-@pytest.fixture(scope="module")
-def world():
-    return SyntheticWorld.generate(ReproConfig.tiny())
+# The session fixtures (tests/conftest.py) are the source-mediated path:
+# ``tiny_assembled`` is assembled through ``tiny_source``, and
+# ``tiny_predictors`` holds one 1-epoch ranker per family trained on it.
 
 
 @pytest.fixture(scope="module")
-def source(world):
-    return SyntheticWorldSource(world)
-
-
-@pytest.fixture(scope="module")
-def collection(source):
-    return collect(source)
-
-
-@pytest.fixture(scope="module")
-def source_assembled(source, collection):
-    return FeatureAssembler(source, collection.dataset).assemble()
+def direct(tiny_world, tiny_collection):
+    return _assemble_direct(tiny_world, tiny_collection.dataset)
 
 
 def _assemble_direct(world, dataset):
@@ -119,10 +96,9 @@ def _assemble_direct(world, dataset):
 
 
 class TestAssembledFeatureParity:
-    def test_bit_for_bit_arrays(self, world, collection, source_assembled):
-        direct = _assemble_direct(world, collection.dataset)
+    def test_bit_for_bit_arrays(self, direct, tiny_assembled):
         for split_name in ("train", "validation", "test"):
-            split = source_assembled.split(split_name)
+            split = tiny_assembled.split(split_name)
             mask = direct["split"] == split_name
             for field in ("channel_idx", "coin_idx", "numeric",
                           "seq_coin_idx", "seq_numeric", "seq_mask",
@@ -132,25 +108,19 @@ class TestAssembledFeatureParity:
                     err_msg=f"{split_name}.{field} diverged from the "
                             "pre-refactor direct-world path",
                 )
-        assert source_assembled.n_coin_ids == direct["n_coin_ids"]
+        assert tiny_assembled.n_coin_ids == direct["n_coin_ids"]
 
 
 class TestRankerFamilyParity:
-    @pytest.mark.parametrize("name", RANKER_FAMILIES)
-    def test_rankings_and_hr_identical(self, name, world, collection,
-                                       source_assembled):
-        model = make_model(name, snn_config_for(source_assembled), seed=0)
-        Trainer(epochs=1, seed=0).fit(
-            model, source_assembled.train, source_assembled.validation
-        )
-        scores = predict_scores(model, source_assembled.test)
-        hr_source = evaluate_scores(source_assembled.test, scores, HR_KS)
+    @pytest.mark.parametrize("name", TINY_ARCHS)
+    def test_rankings_and_hr_identical(self, name, direct, tiny_assembled,
+                                       tiny_predictors):
+        model = tiny_predictors[name].model
+        scores = predict_scores(model, tiny_assembled.test)
+        hr_source = evaluate_scores(tiny_assembled.test, scores, HR_KS)
 
         # The direct path's test split must yield identical scores + HR@k.
-        direct = _assemble_direct(world, collection.dataset)
         mask = direct["split"] == "test"
-        from repro.features import AssembledSplit
-
         direct_test = AssembledSplit(
             channel_idx=direct["channel_idx"][mask],
             coin_idx=direct["coin_idx"][mask],

@@ -24,7 +24,12 @@ from repro.registry import (
     load_artifact,
     save_artifact,
 )
-from repro.registry.artifact import MANIFEST_NAME, STATE_NAME, WEIGHTS_NAME
+from repro.registry.artifact import (
+    HISTORY_NAME,
+    MANIFEST_NAME,
+    STATE_NAME,
+    WEIGHTS_NAME,
+)
 
 ARCHES = ("snn", "dnn", "gru", "tcn")
 
@@ -99,10 +104,12 @@ class TestArtifactContents:
         assert (path / MANIFEST_NAME).is_file()
         assert (path / WEIGHTS_NAME).is_file()
         assert (path / STATE_NAME).is_file()
+        assert (path / HISTORY_NAME).is_file()
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         assert manifest["schema_version"] == SCHEMA_VERSION
         assert manifest["model"]["name"] == "dnn"
-        assert set(manifest["files"]) == {WEIGHTS_NAME, STATE_NAME}
+        assert set(manifest["files"]) == {WEIGHTS_NAME, STATE_NAME,
+                                          HISTORY_NAME}
 
     def test_scalers_restored_exactly(self, saved):
         predictor, path = saved

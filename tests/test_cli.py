@@ -134,6 +134,25 @@ class TestGatewayCommand:
         assert "cannot open event store" in captured.err
         assert "listening" not in captured.out
 
+    def test_wrong_world_exits_2_before_binding(self, registry_root,
+                                                monkeypatch, capsys):
+        # The gateway no longer runs collect, but it still checks the
+        # artifact against the world: a seed-8 world is not the seed-7
+        # world the artifact was trained on.
+        import repro.gateway.pool
+
+        def no_bind(*args, **kwargs):
+            raise AssertionError("the gateway bound its port")
+
+        monkeypatch.setattr(repro.gateway.pool, "bind_pool_sockets", no_bind)
+        code = main(["gateway", "--scale", "tiny", "--seed", "8",
+                     "--load", "dnn", "--registry", str(registry_root),
+                     "--port", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "drift" in captured.err
+        assert "listening" not in captured.out
+
     def test_bound_port_exits_2(self, registry_root, capsys):
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
