@@ -54,8 +54,7 @@ def main() -> None:
                                               collection.dataset)
     app = GatewayApp(
         service, registry=registry,
-        model=describe_model("snn@v0001", path, name="snn",
-                             version="v0001"),
+        model=describe_model("snn@v0001", path),
     )
     server, _thread = serve_in_thread(app)
     print(f"gateway listening on {server.url}")

@@ -526,28 +526,15 @@ def cmd_gateway(args) -> int:
         run_pool,
         worker_serve,
     )
-    from repro.registry import (
-        ArtifactError,
-        ModelRegistry,
-        parse_ref,
-        read_manifest,
-    )
+    from repro.registry import ArtifactError, ModelRegistry
     from repro.serving import PredictionService
     from repro.store import rehydrate_service
     from repro.telemetry import TelemetryHub
 
     try:
-        manifest = read_manifest(artifact_path)
+        descriptor = describe_model(args.load, artifact_path)
     except ArtifactError as exc:
         return _fail("gateway", f"cannot load {artifact_path}: {exc}")
-    # A bare/registry ref keeps its name; a path ref records only the path.
-    name = None
-    if "/" not in args.load and os.sep not in args.load:
-        name, _version = parse_ref(args.load)
-    descriptor = describe_model(
-        args.load, artifact_path, manifest,
-        name=name, version=artifact_path.name if name else None,
-    )
     # Opened here only to fail before binding; every worker opens its
     # own connection after the fork.
     store, error = _open_store(args, "gateway")
@@ -804,49 +791,42 @@ def cmd_models(args) -> int:
             # an empty-but-healthy registry.
             return _fail("models",
                          f"registry {args.registry!r} does not exist")
+        from repro.registry import registry_payload
+
+        # The exact document GET /v1/models serves (sans "current"): one
+        # serializer, so the CLI and HTTP views cannot drift.
+        payload = registry_payload(registry)
         if args.json:
             import json
 
-            from repro.registry import registry_payload
-
-            # The exact document GET /v1/models serves (sans "current"):
-            # one serializer, so the CLI and HTTP views cannot drift.
-            print(json.dumps(registry_payload(registry), indent=2,
-                             sort_keys=True))
+            print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
-        rows = []
-        broken = 0
-        for name in registry.models():
-            versions = registry.versions(name)
-            if not versions:
-                continue
-            latest = registry.latest(name)
-            for version in versions:
-                mark = "*" if version == latest else ""
-                try:
-                    entry = registry.entry(name, version)
-                    provenance = entry.provenance
-                    hr = provenance.get("hr")
-                    rows.append([
-                        name, version, mark,
-                        entry.model_name, entry.n_parameters,
-                        provenance.get("scale", "?"),
-                        hr.get("10", "") if isinstance(hr, dict) else "",
-                    ])
-                except (ArtifactError, RegistryError, TypeError,
-                        ValueError, AttributeError):
-                    # One corrupt bundle (bad manifest, malformed fields,
-                    # missing files, …) must not take down the listing —
-                    # `models validate` prints the full diagnostic.
-                    broken += 1
-                    rows.append([name, version, mark, "(unreadable)", "", "", ""])
-        if not rows:
+        entries = payload["models"]
+        if not entries:
             print(f"no models registered under {args.registry!r}")
             return 0
+        rows = []
+        for entry in entries:
+            row = [entry["name"], entry["version"],
+                   "*" if entry["latest"] else ""]
+            if "error" in entry:
+                # One corrupt bundle (bad manifest, malformed fields,
+                # missing files, …) must not take down the listing —
+                # `models validate` prints the full diagnostic.
+                rows.append(row + ["(unreadable)", "", "", ""])
+                continue
+            provenance = entry["provenance"]
+            hr = provenance.get("hr")
+            rows.append(row + [
+                entry["model"], entry["n_parameters"],
+                provenance.get("scale", "?"),
+                hr.get("10", "") if isinstance(hr, dict) else "",
+            ])
         print(format_table(
             ["model", "version", "latest", "arch", "params", "scale", "HR@10"],
             rows, title=f"registry {args.registry}",
         ))
+        broken = sum("error" in entry for entry in entries)
         if broken:
             print(f"{broken} artifact(s) unreadable — run "
                   f"`repro models --registry {args.registry} validate` "
@@ -854,7 +834,7 @@ def cmd_models(args) -> int:
         return 0
 
     if args.models_command == "inspect":
-        from repro.registry import read_manifest, verify_files
+        from repro.registry import manifest_payload, read_manifest, verify_files
 
         path, error = _resolve_artifact_path(args.ref, args.registry, "models")
         if error is not None:
@@ -864,38 +844,28 @@ def cmd_models(args) -> int:
             # no decompression of the parameter arrays.
             manifest = read_manifest(path)
             verify_files(path, manifest)
-            if args.json:
-                import json
-
-                from repro.registry import manifest_payload
-
-                print(json.dumps(manifest_payload(path, manifest), indent=2,
-                                 sort_keys=True))
-                return 0
-            rows = [
-                ["path", str(path)],
-                ["schema_version", manifest["schema_version"]],
-                ["model", manifest["model"]["name"]],
-                ["n_parameters", manifest["model"]["n_parameters"]],
-                ["n_channels", manifest["features"]["n_channels"]],
-                ["n_coin_ids",
-                 manifest["model"]["config"].get("n_coin_ids", "?")],
-                ["sequence_length", manifest["features"]["sequence_length"]],
-                ["signal_channels",
-                 ",".join(manifest["features"]["signal_channels"]) or "-"],
-            ]
-            provenance = manifest.get("provenance")
-            if isinstance(provenance, dict):
-                # One level of nesting is flattened so structured entries
-                # (e.g. the data-source descriptor) stay grep-able rows.
-                for key, value in sorted(provenance.items()):
-                    if isinstance(value, dict):
-                        rows += [[f"provenance.{key}.{sub}", nested]
-                                 for sub, nested in sorted(value.items())]
-                    else:
-                        rows.append([f"provenance.{key}", value])
-        except (ArtifactError, KeyError, TypeError, AttributeError) as exc:
+        except ArtifactError as exc:
             return _fail("models", f"cannot inspect {path}: {exc!r}")
+        payload = manifest_payload(path, manifest)
+        if args.json:
+            import json
+
+            print(json.dumps(payload, indent=2, sort_keys=True))
+            return 0
+        provenance = payload.pop("provenance")
+        rows = []
+        for key, value in payload.items():
+            if isinstance(value, list):  # signal_channels
+                value = ",".join(map(str, value)) or "-"
+            rows.append([key, "?" if value is None else value])
+        # One level of nesting is flattened so structured entries (e.g.
+        # the data-source descriptor) stay grep-able rows.
+        for key, value in sorted(provenance.items()):
+            if isinstance(value, dict):
+                rows += [[f"provenance.{key}.{sub}", nested]
+                         for sub, nested in sorted(value.items())]
+            else:
+                rows.append([f"provenance.{key}", value])
         print(format_table(["field", "value"], rows, title="artifact"))
         return 0
 

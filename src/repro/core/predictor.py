@@ -85,7 +85,8 @@ class Ranking:
     :class:`CoinScore` objects are built only when read — :attr:`scores`
     builds them all once, :meth:`top` builds ``k`` — so a serving path
     that encodes the columns straight to the wire (:meth:`to_json`)
-    never builds one.  Equality compares the columns bit for bit.
+    never builds one.  Equality compares the columns bit for bit.  Every
+    probability must be finite, so every ranking encodes to strict JSON.
     """
 
     channel_id: int
@@ -103,6 +104,8 @@ class Ranking:
                 == len(self.symbols)):
             raise ValueError("a ranking's coin_ids, probabilities and "
                              "symbols must have one entry per coin")
+        if not np.isfinite(self.probabilities).all():
+            raise ValueError("a ranking's probabilities must be finite")
 
     @cached_property
     def scores(self) -> list[CoinScore]:
@@ -162,9 +165,6 @@ class Ranking:
         :func:`~repro.utils.payload.json_strings`, so a catalog's symbols
         are escaped once per process, not once per ranking.
         """
-        if not np.isfinite(self.probabilities).all():
-            # json spells these NaN/Infinity, repr nan/inf.
-            return compact_json(self.to_payload())
         scores = ",".join(map(_SCORE_JSON.__mod__, zip(
             self.coin_ids.tolist(), json_strings(self.symbols),
             self.probabilities.tolist())))

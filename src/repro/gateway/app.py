@@ -21,14 +21,17 @@ nothing is dropped, nothing scores half-old-half-new.
 
 from __future__ import annotations
 
+import os
 import threading
 import time as _time
+from pathlib import Path
 
 from repro.gateway.schema import (
     E_BAD_ARTIFACT,
     E_BATCH_TOO_LARGE,
     E_DEADLINE_EXCEEDED,
     E_NO_CANDIDATES,
+    E_NO_MARKET_DATA,
     E_NO_REGISTRY,
     E_UNKNOWN_CHANNEL,
     E_UNKNOWN_MODEL,
@@ -50,20 +53,30 @@ from repro.gateway.schema import (
 from repro.gateway.microbatch import MicroBatcher
 from repro.resilience import current_deadline
 from repro.serving.online import Announcement
-from repro.serving.service import PredictionService
+from repro.serving.service import Alert, PredictionService
+from repro.sources.base import SourceDataError
 from repro.telemetry import TelemetryHub
 
 #: Default cap on ``/v1/rank/batch`` size (also the CLI default).
 DEFAULT_MAX_BATCH = 256
 
 
-def describe_model(ref: str | None, path=None, manifest: dict | None = None,
-                   *, name: str | None = None,
-                   version: str | None = None) -> dict:
-    """The model descriptor shown by ``/v1/healthz`` and ``/v1/models``."""
-    manifest = manifest or {}
-    model = manifest.get("model")
-    model = model if isinstance(model, dict) else {}
+def describe_model(ref: str | None, path=None) -> dict:
+    """The model descriptor shown by ``/v1/healthz`` and ``/v1/models``.
+
+    ``path`` is the artifact directory ``ref`` resolved to; its manifest
+    gives the architecture and parameter count (raising
+    :class:`~repro.registry.ArtifactError` if it cannot be read).  A
+    registry ref (``name`` or ``name@version``) keeps its name and the
+    resolved version; a path ref records only the path.
+    """
+    from repro.registry import parse_ref, read_manifest
+
+    model = read_manifest(path)["model"] if path is not None else {}
+    name = version = None
+    if ref is not None and "/" not in ref and os.sep not in ref:
+        name, _ = parse_ref(ref)
+        version = Path(path).name if path is not None else None
     return {
         "ref": ref,
         "name": name,
@@ -262,6 +275,24 @@ class GatewayApp:
             )
         return None
 
+    @staticmethod
+    def _score(service: PredictionService,
+               announcements: list[Announcement]) -> list[Alert]:
+        """``service.rank_batch``, answering missing market data with a
+        422.
+
+        A source with no candles at an announcement's time (a file dump
+        asked about hours it never recorded) raises while the features
+        are computed: before any alert is stored or anything is folded.
+        """
+        try:
+            return service.rank_batch(announcements)
+        except SourceDataError as exc:
+            raise GatewayFault(
+                E_NO_MARKET_DATA, 422,
+                f"no market data to score the announcement: {exc}",
+            ) from None
+
     def _execute_coalesced(self, entries) -> None:
         """Gate + score one micro-batch flush.
 
@@ -270,7 +301,9 @@ class GatewayApp:
         Each entry passes :meth:`_refusal` on its own, and a refusal
         faults only that entry.  The survivors score in one
         ``rank_batch`` forward pass; scoring is history-pure, so every
-        alert is bit-identical to a lone request's.
+        alert is bit-identical to a lone request's.  A flush that misses
+        market data re-scores its survivors one at a time, so only the
+        entries the source cannot cover are refused.
         """
         self._m_microbatch_flushes.inc()
         self._m_microbatch_requests.inc(len(entries))
@@ -283,7 +316,18 @@ class GatewayApp:
                 ready.append(entry)
         if not ready:
             return
-        alerts = service.rank_batch([entry.announcement for entry in ready])
+        try:
+            alerts = self._score(service,
+                                 [entry.announcement for entry in ready])
+        except GatewayFault:
+            if len(ready) == 1:
+                raise
+            for entry in ready:
+                try:
+                    entry.alert, = self._score(service, [entry.announcement])
+                except GatewayFault as fault:
+                    entry.fault = fault
+            return
         for entry, alert in zip(ready, alerts):
             entry.alert = alert
 
@@ -313,7 +357,7 @@ class GatewayApp:
                 if fault is not None:
                     raise fault
             return RankBatchResponseV1(
-                tuple(service.rank_batch(announcements))
+                tuple(self._score(service, announcements))
             )
 
     def observe(self, request: ObserveRequestV1) -> ObserveResponseV1:
@@ -343,12 +387,7 @@ class GatewayApp:
                 "this gateway was started without a model registry; "
                 "restart it with --registry to enable hot reload",
             )
-        from repro.registry import (
-            ArtifactError,
-            RegistryError,
-            parse_ref,
-            read_manifest,
-        )
+        from repro.registry import ArtifactError, RegistryError, parse_ref
 
         name, version = parse_ref(request.ref)
         with self._swap_lock:
@@ -361,7 +400,7 @@ class GatewayApp:
             options = dict(self._service_options)
             options.setdefault("store", old_service.store)
             try:
-                manifest = read_manifest(path)
+                descriptor = describe_model(request.ref, path)
                 # Bound like the boot model, from the artifact alone;
                 # take_over below replaces its seeded histories anyway.
                 replacement = PredictionService.from_artifact(
@@ -374,8 +413,6 @@ class GatewayApp:
                     E_BAD_ARTIFACT, 409,
                     f"artifact {request.ref!r} failed to load: {exc}",
                 ) from None
-            descriptor = describe_model(request.ref, path, manifest,
-                                        name=name, version=path.name)
             with self._score_lock:
                 # The new model continues the old one's stream: the pump
                 # sequences it accumulated, its dedup window and its fold

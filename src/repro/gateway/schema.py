@@ -79,6 +79,7 @@ E_BAD_REQUEST = "bad_request"                    # 400: missing/mistyped field
 E_UNSUPPORTED_SCHEMA = "unsupported_schema_version"   # 400
 E_UNKNOWN_CHANNEL = "unknown_channel"            # 422: untrained channel
 E_NO_CANDIDATES = "no_candidates"                # 422: nothing listed
+E_NO_MARKET_DATA = "no_market_data"              # 422: no candles at time
 E_BATCH_TOO_LARGE = "batch_too_large"            # 413
 E_PAYLOAD_TOO_LARGE = "payload_too_large"        # 413: raw body cap
 E_UNKNOWN_MODEL = "unknown_model"                # 404: reload ref not found
@@ -94,7 +95,7 @@ E_DEADLINE_EXCEEDED = "deadline_exceeded"        # 503: request budget spent
 #: can switch on them without chasing a moving target.
 ERROR_CODES = frozenset({
     E_BAD_JSON, E_BAD_REQUEST, E_UNSUPPORTED_SCHEMA, E_UNKNOWN_CHANNEL,
-    E_NO_CANDIDATES, E_BATCH_TOO_LARGE, E_PAYLOAD_TOO_LARGE,
+    E_NO_CANDIDATES, E_NO_MARKET_DATA, E_BATCH_TOO_LARGE, E_PAYLOAD_TOO_LARGE,
     E_UNKNOWN_MODEL, E_BAD_ARTIFACT, E_NO_REGISTRY, E_NOT_FOUND,
     E_METHOD_NOT_ALLOWED, E_INTERNAL, E_OVERLOADED, E_DEADLINE_EXCEEDED,
 })

@@ -13,8 +13,8 @@ Two contracts are easy to break without failing any unit test:
   literals are checked against the code values, ``E_*`` names against
   the registered constants; dynamic first arguments (e.g. re-wrapping
   ``fault.code``) are skipped — they carry an already-validated code.
-* **WIRE002** — metric names registered through
-  ``.counter(...)``/``.histogram(...)``/``.gauge(...)``/``.gauge_fn(...)``
+* **WIRE002** — metric names registered through ``.counter(...)``/
+  ``.counter_fn(...)``/``.histogram(...)``/``.gauge(...)``/``.gauge_fn(...)``
   must follow the conventions the dashboards scrape by: snake_case,
   counters end ``_total``, duration histograms end ``_seconds``, gauges
   must *not* end ``_total`` (a gauge that looks like a counter breaks
@@ -38,7 +38,8 @@ _GATEWAY_PREFIX = "repro.gateway"
 
 _SNAKE = re.compile(r"^[a-z][a-z0-9_]*$")
 
-_METRIC_METHODS = ("counter", "gauge", "gauge_fn", "histogram")
+_METRIC_METHODS = ("counter", "counter_fn", "gauge", "gauge_fn",
+                   "histogram")
 
 #: Subsystems whose metric series live under a reserved name prefix.
 _SERIES_PREFIXES = {"repro.signals": "signal_"}
@@ -174,7 +175,8 @@ class WireContractRule:
                                         f"series prefix {prefix!r}",
                             )
                 checked = full if full is not None else suffix or ""
-                if kind == "counter" and not checked.endswith("_total"):
+                if kind in ("counter", "counter_fn") \
+                        and not checked.endswith("_total"):
                     yield Finding(
                         path=module.relpath, line=node.lineno,
                         rule="WIRE002",

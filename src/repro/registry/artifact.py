@@ -600,25 +600,6 @@ class PredictorArtifact:
         predictor.provenance = dict(self.provenance)
         return predictor
 
-    def summary(self) -> dict:
-        """Flat inspection view of a loaded artifact.
-
-        ``repro models inspect`` prints the same fields but reads them
-        manifest-only (no array decompression); keep the two in step.
-        """
-        out = {
-            "schema_version": self.schema_version,
-            "model": self.model_name,
-            "n_parameters": int(sum(a.size for a in self.state.values())),
-            "n_channels": len(self.channel_index),
-            "n_coin_ids": self.config.n_coin_ids,
-            "sequence_length": self.sequence_length,
-            "signal_channels": list(self.signal_channels),
-        }
-        for key, value in sorted(self.provenance.items()):
-            out[f"provenance.{key}"] = value
-        return out
-
 
 # -- manifest / verification helpers ----------------------------------------
 

@@ -1,13 +1,13 @@
 """Machine-readable registry/artifact summaries.
 
 One serializer feeds every surface that lists models — ``repro models
-list --json``, ``repro models inspect --json`` and the gateway's
-``GET /v1/models`` — so a field added here shows up everywhere at once
-and the CLI and HTTP views can never drift apart.
+list`` and ``repro models inspect`` (tables and ``--json``) and the
+gateway's ``GET /v1/models`` — so a field added here shows up everywhere
+at once and the CLI and HTTP views can never drift apart.
 
-Like the human-readable ``repro models list``, the JSON view is resilient:
-one corrupt bundle yields an entry with an ``"error"`` field instead of
-taking down the whole listing (``repro models validate`` prints the full
+The listing is resilient: one corrupt bundle yields an entry with an
+``"error"`` field (the table's ``(unreadable)`` row) instead of taking
+down the whole listing (``repro models validate`` prints the full
 diagnostic).
 """
 
@@ -77,11 +77,11 @@ def registry_payload(registry: ModelRegistry) -> dict:
 
 
 def manifest_payload(path: str | Path, manifest: dict | None = None) -> dict:
-    """JSON-safe summary of one artifact directory (``inspect --json``).
+    """JSON-safe summary of one artifact directory (``models inspect``).
 
-    Unlike the table view, nested provenance (e.g. the data-source
-    descriptor) is passed through structurally instead of being flattened
-    into dotted rows — it is already JSON.
+    Nested provenance (e.g. the data-source descriptor) is passed through
+    structurally; the ``inspect`` table flattens it one level into dotted
+    rows.
     """
     path = Path(path)
     if manifest is None:
@@ -92,6 +92,7 @@ def manifest_payload(path: str | Path, manifest: dict | None = None) -> dict:
     features = features if isinstance(features, dict) else {}
     config = model.get("config")
     config = config if isinstance(config, dict) else {}
+    signals = features.get("signal_channels")
     provenance = manifest.get("provenance")
     return {
         "path": str(path),
@@ -101,5 +102,6 @@ def manifest_payload(path: str | Path, manifest: dict | None = None) -> dict:
         "n_channels": features.get("n_channels"),
         "n_coin_ids": config.get("n_coin_ids"),
         "sequence_length": features.get("sequence_length"),
+        "signal_channels": signals if isinstance(signals, list) else [],
         "provenance": provenance if isinstance(provenance, dict) else {},
     }

@@ -78,10 +78,10 @@ class FeatureCache:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
-                self.stats.cache_hit()
+                self.stats.cache_hits += 1
                 current.set("hit", True)
                 return cached
-            self.stats.cache_miss()
+            self.stats.cache_misses += 1
             current.set("hit", False)
             block = self.compute(exchange_id, coins, at)
             if self.max_entries:

@@ -39,6 +39,11 @@ from repro.types import Message
 from repro.text import KeywordFilter
 from repro.utils.payload import payload_float, payload_int, payload_str
 
+#: Announcement times must stay below this magnitude: past 2**53 a
+#: float64 cannot tell whole hours apart, and the market sources' int64
+#: hour arithmetic overflows long before the float range ends.
+MAX_ABS_TIME = 2.0 ** 53
+
 
 @dataclass(frozen=True)
 class Announcement:
@@ -90,16 +95,21 @@ class Announcement:
         ``channel_id`` and ``time`` are required; ``coin_id`` defaults to
         the ``-1`` sentinel, ``exchange_id`` to Binance (0) and ``pair``
         to BTC — the same defaults offline sample extraction applies.
+        ``|time|`` must be below :data:`MAX_ABS_TIME`.
         """
         if not isinstance(payload, dict):
             raise ValueError("announcement must be an object")
-        return cls(
+        announcement = cls(
             channel_id=payload_int(payload, "channel_id"),
             coin_id=payload_int(payload, "coin_id", default=-1),
             exchange_id=payload_int(payload, "exchange_id", default=0),
             pair=payload_str(payload, "pair", default="BTC"),
             time=payload_float(payload, "time"),
         )
+        if abs(announcement.time) >= MAX_ABS_TIME:
+            raise ValueError(f"field 'time' must be below 2**53 in "
+                             f"magnitude, got {announcement.time!r}")
+        return announcement
 
 
 class OnlineDetector:

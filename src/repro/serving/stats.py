@@ -1,24 +1,30 @@
-"""Service metrics for the streaming engine, backed by the telemetry registry.
+"""Service metrics for the streaming engine, read by a registry on scrape.
 
 One :class:`ServiceStats` instance is threaded through the stream engine,
 the online detector/sessionizer, the feature cache and the prediction
-service.  Since ISSUE 6 it is a *view over a
-:class:`repro.telemetry.MetricsRegistry`*: every counter attribute
-(``stats.messages += 1`` keeps working unchanged) is stored in a typed
-instrument, so the same numbers ``summary()`` renders are scraped from
-``GET /v1/metrics`` in Prometheus text format — the accumulator no longer
-dies with the process's stdout.
+service.  Its counters are plain ``int`` attributes (``stats.messages +=
+1``); its private :class:`repro.telemetry.MetricsRegistry` reads them
+through collect-time callbacks, so the numbers ``summary()`` renders are
+the ones ``GET /v1/metrics`` exports in Prometheus text format.
+
+The counters take no lock because every writer is already serialized:
+
+* one thread each — ``StreamEngine.run`` and ``build_engine``'s admit,
+  the online detector and sessionizer, and the remote replay's ranker;
+* under the gateway's scoring lock — ``PredictionService.rank_batch``
+  and ``FeatureCache.features``, which run only inside
+  ``GatewayApp.rank_batch`` or a micro-batch flush;
+* at worker boot, before the socket is served — ``rehydrate_service``.
+
+Readers (``/v1/stats``, ``/v1/metrics``, the pool's snapshot and publish
+threads) take no lock either; each reads whole ints.
 
 Latency recordings go two places at once:
 
 * a fixed-bucket ``rank_latency_seconds{model}`` histogram — O(1) memory
-  however long the service runs (the old unbounded ``_latencies_ms`` list
-  grew forever on a long-running service);
+  however long the service runs;
 * a bounded reservoir of the most recent :data:`RESERVOIR_CAPACITY`
-  values — short runs (every test, every replay) get *exact* p50/p99,
-  identical to the old ``np.percentile`` behaviour; beyond the capacity
-  the percentiles fall back to the histogram's bucket-interpolated
-  estimate.
+  values, over which ``latency_ms`` computes exact percentiles.
 
 ``summary()`` keeps its exact key set and value semantics.
 """
@@ -28,13 +34,14 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
 from repro.telemetry.metrics import MetricsRegistry
 
-#: Exact-percentile window: recordings beyond this many fall back to the
-#: histogram estimate.  Bounds a long-running service's memory at O(1).
+#: Exact-percentile window: p50/p99 cover the most recent this many
+#: recordings.  Bounds a long-running service's memory at O(1).
 RESERVOIR_CAPACITY = 4096
 
 #: Scoring-latency bucket bounds in seconds (sub-ms cache hits through
@@ -44,122 +51,87 @@ LATENCY_BUCKETS = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
+#: Each plain counter and the HELP text of its ``service_<name>_total``
+#: series, in exposition order.
+_COUNTER_HELP = {
+    "messages": "Messages consumed from the stream",
+    "pump_messages": "Messages the online detector flagged",
+    "sessions_closed": "24h-gap sessions completed",
+    "announcements": "Resolvable coin releases seen",
+    "duplicate_releases": "Repeat releases within one session",
+    "alerts": "Ranked alerts emitted",
+    "unknown_channels": "Announcements from untrained channels",
+    "no_candidates": "Announcements with no listed coins",
+    "forward_passes": "Model invocations (micro-batches)",
+    "scored_rows": "Candidate rows pushed through the model",
+}
 
-class _CounterAttr:
-    """A ``ServiceStats`` attribute stored in a registry counter.
-
-    Reads return ints (as before); writes translate into counter deltas so
-    ``stats.messages += 1`` and the legacy ``stats.messages = 0`` both
-    keep working while the registry sees every change.
-    """
-
-    def __set_name__(self, owner, name: str):
-        self._attr = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return int(obj._counters[self._attr].value())
-
-    def __set__(self, obj, value) -> None:
-        counter = obj._counters[self._attr]
-        delta = float(value) - counter.value()
-        if delta >= 0:
-            counter.inc(delta)
-        else:
-            # Legacy direct assignment below the current value (e.g. a
-            # reset); monotonic scrapes are the caller's concern then.
-            counter.force_set(float(value))
+#: Every counter :meth:`ServiceStats.restore` adopts from a summary.
+COUNTERS = (*_COUNTER_HELP, "cache_hits", "cache_misses")
 
 
 class ServiceStats:
-    """Operational metrics of one serving run, recorded into a registry.
+    """Operational metrics of one serving run.
 
-    Parameters
-    ----------
-    registry:
-        The :class:`MetricsRegistry` instruments live in.  Defaults to a
-        private registry so two services in one process never merge
-        counters; the gateway exposes it via ``GET /v1/metrics``.
+    Each instance owns a private :attr:`registry`, so two services in one
+    process never merge counters; the gateway exposes it via
+    ``GET /v1/metrics``.
     """
 
-    messages = _CounterAttr()            # messages consumed from the stream
-    pump_messages = _CounterAttr()       # messages the online detector flagged
-    sessions_closed = _CounterAttr()     # 24h-gap sessions completed
-    announcements = _CounterAttr()       # resolvable coin releases seen
-    duplicate_releases = _CounterAttr()  # repeat releases within one session
-    alerts = _CounterAttr()              # ranked alerts emitted
-    unknown_channels = _CounterAttr()    # announcements from untrained channels
-    no_candidates = _CounterAttr()       # announcements with no listed coins
-    forward_passes = _CounterAttr()      # model invocations (micro-batches)
-    scored_rows = _CounterAttr()         # candidate rows pushed through model
+    def __init__(self) -> None:
+        # The counters of _COUNTER_HELP, then the feature-cache lookups.
+        self.messages = 0
+        self.pump_messages = 0
+        self.sessions_closed = 0
+        self.announcements = 0
+        self.duplicate_releases = 0
+        self.alerts = 0
+        self.unknown_channels = 0
+        self.no_candidates = 0
+        self.forward_passes = 0
+        self.scored_rows = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.wall_seconds = 0.0  # accumulated replay wall-clock time
+        # Exact-percentile window over the most recent recordings (ms).
+        self._reservoir: deque[float] = deque(maxlen=RESERVOIR_CAPACITY)
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        simple = {
-            "messages": "Messages consumed from the stream",
-            "pump_messages": "Messages the online detector flagged",
-            "sessions_closed": "24h-gap sessions completed",
-            "announcements": "Resolvable coin releases seen",
-            "duplicate_releases": "Repeat releases within one session",
-            "alerts": "Ranked alerts emitted",
-            "unknown_channels": "Announcements from untrained channels",
-            "no_candidates": "Announcements with no listed coins",
-            "forward_passes": "Model invocations (micro-batches)",
-            "scored_rows": "Candidate rows pushed through the model",
-        }
-        # `.labels()` with no labels binds the single unlabelled child, so
-        # every entry exposes the same bound API (inc/value/force_set).
-        self._counters = {
-            name: self.registry.counter(f"service_{name}_total", help).labels()
-            for name, help in simple.items()
-        }
-        lookups = self.registry.counter(
-            "service_cache_lookups_total",
-            "Feature-cache lookups by result", ("result",),
+        self.registry = MetricsRegistry()
+        for name, help in _COUNTER_HELP.items():
+            self.registry.counter_fn(f"service_{name}_total", help,
+                                     partial(getattr, self, name))
+        self.registry.counter_fn(
+            "service_cache_lookups_total", "Feature-cache lookups by result",
+            lambda: {("hit",): self.cache_hits,
+                     ("miss",): self.cache_misses},
+            labelnames=("result",),
         )
-        self._counters["cache_hits"] = lookups.labels(result="hit")
-        self._counters["cache_misses"] = lookups.labels(result="miss")
         self._latency = self.registry.histogram(
             "rank_latency_seconds",
             "Per-announcement scoring latency (share of its micro-batch)",
             ("model",), buckets=LATENCY_BUCKETS,
         )
-        self._wall = self.registry.gauge(
+        self.registry.gauge_fn(
             "service_wall_seconds", "Accumulated replay wall-clock time",
+            lambda: self.wall_seconds,
         )
         self.registry.gauge_fn(
             "service_cache_hit_ratio",
             "Feature-cache hit rate over the run", self.cache_hit_rate,
         )
-        # Exact-percentile window over the most recent recordings (ms).
-        self._reservoir: deque[float] = deque(maxlen=RESERVOIR_CAPACITY)
-        self._latency_count = 0
-
-    # Registered like the others so `stats.cache_hits += 1` still works,
-    # but they share one labelled counter (`result="hit"/"miss"`).
-    cache_hits = _CounterAttr()
-    cache_misses = _CounterAttr()
 
     # -- recording -----------------------------------------------------------
-
-    def cache_hit(self) -> None:
-        self._counters["cache_hits"].inc()
-
-    def cache_miss(self) -> None:
-        self._counters["cache_misses"].inc()
 
     def record_latency(self, milliseconds: float, model: str = "") -> None:
         """One announcement's scoring latency (share of its micro-batch).
 
         ``model`` labels the Prometheus series (the serving layer passes
-        the ranker class name); the reservoir that backs exact short-run
-        percentiles is model-agnostic, matching the old flat list.
+        the ranker class name); the reservoir that backs the exact
+        percentiles is model-agnostic.
         """
         value = float(milliseconds)
         self._latency.labels(model=model).observe(value / 1000.0)
         self._reservoir.append(value)
-        self._latency_count += 1
 
     @contextmanager
     def timed_run(self):
@@ -168,36 +140,26 @@ class ServiceStats:
         try:
             yield self
         finally:
-            self._wall.inc(_time.perf_counter() - start)
+            self.wall_seconds += _time.perf_counter() - start
 
     # -- derived metrics -----------------------------------------------------
-
-    @property
-    def wall_seconds(self) -> float:
-        return self._wall.value
 
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
     def latency_ms(self, percentile: float) -> float:
-        """Scoring-latency percentile in milliseconds (0 when no alerts).
-
-        Exact (``np.percentile`` over every recording) while the run fits
-        the reservoir; a histogram-interpolated estimate on longer runs.
-        """
-        if not self._latency_count:
+        """Scoring-latency percentile in milliseconds (0 when no alerts),
+        exact over the most recent :data:`RESERVOIR_CAPACITY` recordings."""
+        if not self._reservoir:
             return 0.0
-        if self._latency_count <= RESERVOIR_CAPACITY:
-            return float(np.percentile(list(self._reservoir), percentile))
-        return self._latency.quantile(percentile / 100.0) * 1000.0
+        return float(np.percentile(list(self._reservoir), percentile))
 
     def throughput(self) -> float:
         """Messages consumed per wall-clock second of replay."""
-        wall = self._wall.value
-        if wall <= 0:
+        if self.wall_seconds <= 0:
             return 0.0
-        return self.messages / wall
+        return self.messages / self.wall_seconds
 
     def mean_batch_size(self) -> float:
         if not self.forward_passes:
@@ -214,12 +176,10 @@ class ServiceStats:
         counters restore; derived values (percentiles, ratios, wall
         clock) are recomputed live and start over.
         """
-        for name in self._counters:
+        for name in COUNTERS:
             value = summary.get(name)
-            if value is None:
-                continue
-            # Descriptor assignment routes through the registry counter.
-            setattr(self, name, int(value))
+            if value is not None:
+                setattr(self, name, int(value))
 
     def summary(self) -> dict[str, float]:
         """All derived metrics in one flat dict (CLI/dashboard payload)."""
@@ -241,5 +201,5 @@ class ServiceStats:
             "latency_p50_ms": round(self.latency_ms(50), 3),
             "latency_p99_ms": round(self.latency_ms(99), 3),
             "throughput_msg_per_s": round(self.throughput(), 1),
-            "wall_seconds": round(self._wall.value, 3),
+            "wall_seconds": round(self.wall_seconds, 3),
         }

@@ -39,7 +39,8 @@ def rehydrate_service(service, store: EventStore) -> dict:
 
     counts = store.counts()
     if counts.get("alerts"):
-        # Exact per-row truth beats the (possibly stale) snapshot.
+        # Exact per-row truth beats the (possibly stale) snapshot.  The
+        # socket is not served yet, so nothing else writes these ints.
         service.stats.alerts = counts["alerts"]
         scored = getattr(store, "scored_rows", None)
         if scored is not None:

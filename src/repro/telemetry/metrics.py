@@ -6,18 +6,25 @@ the gateway's :class:`ThreadingHTTPServer` concurrency:
 * :class:`Counter`   — monotonically increasing totals
   (``gateway_requests_total{endpoint,status}``);
 * :class:`Gauge`     — set/inc/dec values that move both ways
-  (``train_epoch_loss{model}``), optionally computed at collect time via
-  :meth:`MetricsRegistry.gauge_fn`;
+  (``train_epoch_loss{model}``);
 * :class:`Histogram` — fixed-bucket distributions with exact ``_sum`` /
-  ``_count`` (``rank_latency_seconds{model}``) plus a quantile *estimate*
-  for dashboards that cannot afford unbounded sample buffers.
+  ``_count`` (``rank_latency_seconds{model}``).
 
-Every mutation happens under the owning registry's lock, so concurrent
-increments from N handler threads sum exactly (a test pins this).
-Registration is idempotent: asking twice for the same name returns the
-same instrument, while re-registering under a different type, label set
-or bucket layout raises — two subsystems silently sharing one series
-under different contracts is a bug, not a merge.
+A counter or gauge may instead be a *callback*
+(:meth:`MetricsRegistry.counter_fn`, :meth:`MetricsRegistry.gauge_fn`):
+its value lives with its owner as a plain number and is read only when
+the registry is collected.  :class:`repro.serving.ServiceStats` exports
+its counters this way.  Their writers are serialized by their owner, not
+by the registry: the stream engine and the online detector run on one
+thread, and the gateway mutates a service only under its scoring lock.
+
+Every mutation of a stored instrument happens under the owning
+registry's lock, so concurrent increments from N handler threads sum
+exactly (a test pins this).  Registration is idempotent: asking twice
+for the same name returns the same instrument, while re-registering
+under a different type, label set or bucket layout raises — two
+subsystems silently sharing one series under different contracts is a
+bug, not a merge.
 
 Naming conventions (enforced, and relied on by the exposition golden
 tests): counters end in ``_total``; durations are seconds and end in
@@ -30,7 +37,7 @@ from __future__ import annotations
 import bisect
 import re
 import threading
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -58,18 +65,24 @@ def _check_labels(labelnames: Sequence[str]) -> tuple[str, ...]:
 
 
 class _Metric:
-    """Common core: one named series family with labelled children."""
+    """Common core: one named series family with labelled children.
+
+    ``fn``, when given, replaces the stored children: it is called at
+    collect time and returns the value (unlabelled) or a mapping from
+    label-value tuples to values (labelled).
+    """
 
     kind = "untyped"
 
     def __init__(self, name: str, help: str, labelnames: Sequence[str],
-                 lock: threading.RLock):
+                 lock: threading.RLock, fn: Callable | None = None):
         if not _METRIC_NAME.match(name):
             raise MetricError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
         self.labelnames = _check_labels(labelnames)
         self._lock = lock
+        self._fn = fn
         self._children: dict[tuple[str, ...], object] = {}
 
     # -- label handling ------------------------------------------------------
@@ -107,6 +120,11 @@ class _Metric:
 
     def samples(self) -> list[tuple[tuple[str, ...], object]]:
         """Snapshot of ``(label_values, value)`` pairs, insertion-ordered."""
+        if self._fn is not None:
+            if not self.labelnames:
+                return [((), float(self._fn()))]
+            return [(tuple(map(str, key)), float(value))
+                    for key, value in self._fn().items()]
         with self._lock:
             return [(key, self._copy_value(value))
                     for key, value in self._children.items()]
@@ -148,9 +166,6 @@ class _Bound:
     def value(self) -> float:
         return self._metric._value(self._key)
 
-    def force_set(self, value: float) -> None:
-        self._metric._force_set(self._key, value)
-
 
 class Counter(_Metric):
     """A monotonically increasing total.  Decrements raise."""
@@ -174,25 +189,11 @@ class Counter(_Metric):
         with self._lock:
             return float(self._children.get(key, 0.0))
 
-    def _force_set(self, key: tuple[str, ...], value: float) -> None:
-        """Bridge for legacy accumulators (``ServiceStats``) whose public
-        API still assigns attribute values directly; not part of the
-        normal counter contract."""
-        with self._lock:
-            self._children[key] = float(value)
-
 
 class Gauge(_Metric):
     """A value that can go up and down (or be computed at collect time)."""
 
     kind = "gauge"
-
-    def __init__(self, name, help, labelnames, lock,
-                 fn: Callable[[], float] | None = None):
-        super().__init__(name, help, labelnames, lock)
-        if fn is not None and labelnames:
-            raise MetricError("callback gauges cannot be labelled")
-        self._fn = fn
 
     def set(self, value: float) -> None:
         self._set(self._default_key(), value)
@@ -219,11 +220,6 @@ class Gauge(_Metric):
     def _value(self, key: tuple[str, ...]) -> float:
         with self._lock:
             return float(self._children.get(key, 0.0))
-
-    def samples(self):
-        if self._fn is not None:
-            return [((), float(self._fn()))]
-        return super().samples()
 
 
 class _HistogramValue:
@@ -302,36 +298,6 @@ class Histogram(_Metric):
     def total(self) -> float:
         return self._aggregate().total
 
-    def quantile(self, q: float) -> float:
-        """Estimated ``q``-quantile (0..1) across all children.
-
-        Linear interpolation inside the containing bucket — an estimate
-        whose error is bounded by the bucket width, which is why callers
-        needing exact short-run percentiles pair the histogram with a
-        bounded reservoir (see :class:`repro.serving.ServiceStats`).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        merged = self._aggregate()
-        if merged.count == 0:
-            return 0.0
-        target = q * merged.count
-        seen = 0
-        for index, bucket_count in enumerate(merged.counts):
-            if bucket_count == 0:
-                continue
-            if seen + bucket_count >= target:
-                lower = self.buckets[index - 1] if index else 0.0
-                if index >= len(self.buckets):
-                    # Overflow bucket is unbounded; its lower edge is the
-                    # best (conservative) point estimate available.
-                    return self.buckets[-1]
-                upper = self.buckets[index]
-                fraction = (target - seen) / bucket_count
-                return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-            seen += bucket_count
-        return self.buckets[-1]
-
 
 class MetricsRegistry:
     """A named collection of instruments with one mutation lock.
@@ -369,6 +335,16 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "",
                 labelnames: Sequence[str] = ()) -> Counter:
         return self._register(Counter, name, help, labelnames)
+
+    def counter_fn(self, name: str, help: str, fn: Callable,
+                   labelnames: Sequence[str] = ()) -> Counter:
+        """A counter whose total is read from ``fn`` at collect time.
+
+        Unlabelled, ``fn()`` returns the total; labelled, it returns
+        ``{label values: total}``.  The owner of the number keeps it
+        monotonic and serializes its writers.
+        """
+        return self._register(Counter, name, help, labelnames, fn=fn)
 
     def gauge(self, name: str, help: str = "",
               labelnames: Sequence[str] = ()) -> Gauge:

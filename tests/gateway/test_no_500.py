@@ -5,7 +5,8 @@ then each ``*RequestV1.decode``) and the scoring endpoints
 (``GatewayApp.rank`` / ``rank_batch``) either return a typed result or
 raise a :class:`GatewayFault` with a 4xx status and a registered code.
 Any other exception — or a 5xx fault — is a bug: the caller gets an
-opaque 500 for a request that was simply wrong.
+opaque 500 for a request that was simply wrong.  A returned response
+must also encode to strict JSON: no ``NaN``/``Infinity`` token in a 200.
 
 Two input families: arbitrary bytes, and near-valid JSON — a well-formed
 rank payload with fields swapped for huge or negative ints, non-finite
@@ -53,13 +54,21 @@ def valid_announcement(tiny_collection) -> dict:
             "exchange_id": 0, "coin_id": -1, "pair": "BTC"}
 
 
+def _refuse_constant(name: str):
+    raise AssertionError(f"response body holds the non-JSON token {name}")
+
+
 def typed_or_4xx(call) -> None:
-    """Run ``call``; only a result or a registered 4xx fault may come out."""
+    """Run ``call``; only a result or a registered 4xx fault may come out,
+    and a returned response parses as strict JSON."""
     try:
-        call()
+        result = call()
     except GatewayFault as fault:
         assert 400 <= fault.status < 500, (fault.status, fault.message)
         assert fault.code in ERROR_CODES
+        return
+    if hasattr(result, "encode"):
+        json.loads(result.encode(), parse_constant=_refuse_constant)
 
 
 def through_gateway(app, body: bytes) -> None:
@@ -147,3 +156,23 @@ def test_near_valid_payloads_never_500(app, valid_announcement, data):
     # non-finite floats the JSON parser refuses.
     through_gateway(app, json.dumps(payload).encode())
     through_decoders(app, payload)
+
+
+@pytest.mark.parametrize("time", [1e308, -1e308, 1e18, 2.0 ** 53])
+def test_times_past_whole_hours_are_refused(app, valid_announcement, time):
+    """Past 2**53 a float64 cannot tell whole hours apart.  Rank,
+    rank/batch and observe refuse such a time with a 400; the simulator
+    used to answer 1e308 with a 200 of NaN probabilities."""
+    announcement = dict(valid_announcement, time=time)
+    payload = {"schema_version": 1, "announcement": announcement,
+               "announcements": [announcement]}
+    through_decoders(app, payload)
+    observe = dict(payload, announcement=dict(announcement, coin_id=0))
+    for request_type, body in ((RankRequestV1, payload),
+                               (RankBatchRequestV1, payload),
+                               (ObserveRequestV1, observe)):
+        with pytest.raises(GatewayFault) as info:
+            request_type.decode(body)
+        assert info.value.code == "bad_request"
+        assert "2**53" in info.value.message
+

@@ -177,7 +177,8 @@ class TestErrorContract:
         # The machine-readable contract: clients switch on these strings.
         assert ERROR_CODES == {
             "bad_json", "bad_request", "unsupported_schema_version",
-            "unknown_channel", "no_candidates", "batch_too_large",
+            "unknown_channel", "no_candidates", "no_market_data",
+            "batch_too_large",
             "payload_too_large", "unknown_model", "bad_artifact",
             "no_registry", "not_found", "method_not_allowed", "internal",
             "overloaded", "deadline_exceeded",

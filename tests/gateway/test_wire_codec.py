@@ -24,6 +24,7 @@ from repro.gateway.schema import (
     RankResponseV1,
 )
 from repro.serving import Alert, Announcement
+from repro.serving.online import MAX_ABS_TIME
 
 SMALLEST_SUBNORMAL = 5e-324
 
@@ -42,6 +43,9 @@ probabilities = st.one_of(
     st.floats(min_value=0.0, max_value=1.0),
 )
 finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Announcement times a decoder accepts (``|time| < 2**53``).
+times = st.floats(min_value=-MAX_ABS_TIME, max_value=MAX_ABS_TIME,
+                  exclude_min=True, exclude_max=True)
 
 
 @st.composite
@@ -61,7 +65,7 @@ def alerts(draw) -> Alert:
     ranking = Ranking(
         channel_id=channel_id,
         exchange_id=draw(st.integers(0, 9)),
-        pump_time=draw(finite),
+        pump_time=draw(times),
         coin_ids=coin_ids,
         probabilities=rng.choice(probability_pool, size=n_scores),
         symbols=[symbol_pool[i] for i in
@@ -131,12 +135,14 @@ class TestEncoder:
         assert RankResponseV1(alert).encode() == first
         assert len(calls) == 1
 
-    def test_non_finite_probability_is_spelled_as_json_spells_it(self):
-        ranking = Ranking(channel_id=1, exchange_id=0, pump_time=2.0,
-                          coin_ids=[1, 2, 3], symbols=["A", "B", "C"],
-                          probabilities=[math.inf, math.nan, -math.inf])
-        assert ranking.to_json() == json.dumps(ranking.to_payload(),
-                                               separators=(",", ":"))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_probability_is_refused(self, bad):
+        # Refused where the ranking is built, so no response body can
+        # carry a NaN/Infinity token.
+        with pytest.raises(ValueError, match="finite"):
+            Ranking(channel_id=1, exchange_id=0, pump_time=2.0,
+                    coin_ids=[1, 2, 3], symbols=["A", "B", "C"],
+                    probabilities=[0.5, bad, 0.25])
 
 
 # -- the decoder ----------------------------------------------------------------

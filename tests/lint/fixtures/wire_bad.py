@@ -15,3 +15,7 @@ def handle():
 
 def rewrap():
     raise GatewayFault(E_ROGUE, 500, "boom")
+
+
+def instrument_callbacks(metrics):
+    metrics.counter_fn("lookups", "", dict)

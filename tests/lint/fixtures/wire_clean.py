@@ -7,6 +7,7 @@ def instrument(metrics):
     metrics.histogram("rank_latency_seconds")
     metrics.gauge("inflight_requests")
     metrics.counter(f"service_{0}_total")
+    metrics.counter_fn("service_cache_lookups_total", "", dict)
 
 
 def handle(fault):

@@ -172,6 +172,7 @@ def test_wire002_fires_on_nonconforming_metric_names(make_tree):
         ("WIRE002", "repro/gateway/handlers.py", 7),   # histogram sans _seconds
         ("WIRE002", "repro/gateway/handlers.py", 8),   # gauge ending _total
         ("WIRE002", "repro/gateway/handlers.py", 9),   # not snake_case
+        ("WIRE002", "repro/gateway/handlers.py", 21),  # counter_fn sans _total
     ]
 
 

@@ -22,6 +22,7 @@ from repro.registry import (
     PredictorArtifact,
     SCHEMA_VERSION,
     load_artifact,
+    manifest_payload,
     save_artifact,
 )
 from repro.registry.artifact import (
@@ -125,9 +126,9 @@ class TestArtifactContents:
         _, path = saved
         artifact = load_artifact(path)
         assert artifact.provenance["note"] == "unit-test"
-        summary = artifact.summary()
+        summary = manifest_payload(path)
         assert summary["model"] == "dnn"
-        assert summary["provenance.note"] == "unit-test"
+        assert summary["provenance"]["note"] == "unit-test"
 
     def test_save_refuses_unrelated_directory(self, tiny_predictors,
                                               tmp_path):

@@ -1,12 +1,12 @@
-"""ServiceStats — registry-backed counters, bounded latency memory."""
+"""ServiceStats — plain counters read at scrape time, bounded latency memory."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.serving import ServiceStats
-from repro.serving.stats import LATENCY_BUCKETS, RESERVOIR_CAPACITY
-from repro.telemetry import MetricsRegistry, parse_text, render_text
+from repro.serving.stats import RESERVOIR_CAPACITY
+from repro.telemetry import parse_text, render_text
 
 
 class TestCounterAttributes:
@@ -16,24 +16,50 @@ class TestCounterAttributes:
         stats.messages += 2
         assert stats.messages == 3
         assert isinstance(stats.messages, int)
-        stats.messages = 0  # legacy reset keeps working
+        stats.messages = 0  # a reset is a plain assignment
         assert stats.messages == 0
         stats.messages += 5
         assert stats.messages == 5
 
     def test_counters_land_in_the_registry(self):
-        registry = MetricsRegistry()
-        stats = ServiceStats(registry)
+        stats = ServiceStats()
         stats.alerts += 4
-        stats.cache_hit()
-        stats.cache_miss()
+        stats.cache_hits += 1
+        stats.cache_misses += 1
         samples = {(s.name, s.labels): s.value
-                   for s in parse_text(render_text(registry))}
+                   for s in parse_text(render_text(stats.registry))}
         assert samples[("service_alerts_total", ())] == 4
         assert samples[("service_cache_lookups_total",
                         (("result", "hit"),))] == 1
         assert samples[("service_cache_lookups_total",
                         (("result", "miss"),))] == 1
+        # Read at scrape time: a counter that never fired exports 0.
+        assert samples[("service_messages_total", ())] == 0
+        stats.alerts += 1
+        assert ("service_alerts_total", (), 5.0) in {
+            (s.name, s.labels, s.value)
+            for s in parse_text(render_text(stats.registry))}
+
+    def test_exposition_order_and_types(self):
+        text = render_text(ServiceStats().registry)
+        families = [line.split()[2:] for line in text.splitlines()
+                    if line.startswith("# TYPE ")]
+        assert families == [
+            ["service_messages_total", "counter"],
+            ["service_pump_messages_total", "counter"],
+            ["service_sessions_closed_total", "counter"],
+            ["service_announcements_total", "counter"],
+            ["service_duplicate_releases_total", "counter"],
+            ["service_alerts_total", "counter"],
+            ["service_unknown_channels_total", "counter"],
+            ["service_no_candidates_total", "counter"],
+            ["service_forward_passes_total", "counter"],
+            ["service_scored_rows_total", "counter"],
+            ["service_cache_lookups_total", "counter"],
+            ["rank_latency_seconds", "histogram"],
+            ["service_wall_seconds", "gauge"],
+            ["service_cache_hit_ratio", "gauge"],
+        ]
 
     def test_private_registries_do_not_merge(self):
         a, b = ServiceStats(), ServiceStats()
@@ -80,18 +106,23 @@ class TestLatencyMemory:
         assert len(stats._reservoir) == RESERVOIR_CAPACITY
         assert stats._reservoir.maxlen == RESERVOIR_CAPACITY
         assert stats._latency.count == n
-        # Past the reservoir, percentiles fall back to the histogram
-        # estimate — finite and inside the observed bucket.
-        p99 = stats.latency_ms(99)
-        assert np.isfinite(p99)
-        assert 0.0 < p99 <= max(LATENCY_BUCKETS) * 1000.0
+        assert stats.latency_ms(99) == 2.0
+
+    def test_percentiles_cover_the_most_recent_recordings(self):
+        stats = ServiceStats()
+        for _ in range(RESERVOIR_CAPACITY):
+            stats.record_latency(100.0)
+        recent = list(np.linspace(1.0, 9.0, RESERVOIR_CAPACITY))
+        for v in recent:
+            stats.record_latency(v)
+        assert stats.latency_ms(50) == float(np.percentile(recent, 50))
+        assert stats.latency_ms(99) == float(np.percentile(recent, 99))
 
     def test_histogram_series_labelled_by_model(self):
-        registry = MetricsRegistry()
-        stats = ServiceStats(registry)
+        stats = ServiceStats()
         stats.record_latency(3.0, model="DNNRanker")
         names = {(s.name, s.labels) for s in
-                 parse_text(render_text(registry))}
+                 parse_text(render_text(stats.registry))}
         assert ("rank_latency_seconds_count",
                 (("model", "DNNRanker"),)) in names
 

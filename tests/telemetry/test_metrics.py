@@ -68,11 +68,34 @@ class TestGauge:
         state["v"] = 0.75
         assert g.samples() == [((), 0.75)]
 
-    def test_callback_gauge_cannot_be_labelled(self, registry):
-        from repro.telemetry.metrics import Gauge
 
-        with pytest.raises(MetricError, match="cannot be labelled"):
-            Gauge("g", "", ("x",), threading.RLock(), fn=lambda: 1.0)
+class TestCallbackCounter:
+    def test_read_at_collect_time(self, registry):
+        state = {"n": 0}
+        c = registry.counter_fn("jobs_total", "help", lambda: state["n"])
+        assert c.kind == "counter"
+        assert c.samples() == [((), 0.0)]
+        state["n"] = 7
+        assert c.samples() == [((), 7.0)]
+
+    def test_labelled_callback_returns_label_values(self, registry):
+        counts = {"hit": 3, "miss": 1}
+        c = registry.counter_fn(
+            "lookups_total", "", lambda: {(k,): v for k, v in counts.items()},
+            labelnames=("result",),
+        )
+        assert c.samples() == [(("hit",), 3.0), (("miss",), 1.0)]
+
+    def test_rendered_in_registration_order(self, registry):
+        from repro.telemetry import parse_text, render_text
+
+        registry.counter("a_total").inc()
+        registry.counter_fn("b_total", "", lambda: 2)
+        registry.gauge_fn("c_ratio", "", lambda: 0.5)
+        samples = [(s.name, s.value)
+                   for s in parse_text(render_text(registry))]
+        assert samples == [("a_total", 1.0), ("b_total", 2.0),
+                           ("c_ratio", 0.5)]
 
 
 class TestHistogram:
@@ -93,25 +116,6 @@ class TestHistogram:
         h.observe(-1.0)  # clock skew etc. must not crash
         (_, value), = h.samples()
         assert value.counts[0] == 2
-
-    def test_quantile_interpolates(self, registry):
-        h = registry.histogram("lat_seconds", buckets=(1.0, 2.0, 4.0))
-        for _ in range(100):
-            h.observe(1.5)
-        # All mass sits in (1.0, 2.0]; the median interpolates inside it.
-        assert 1.0 < h.quantile(0.5) <= 2.0
-        assert h.quantile(0.0) >= 0.0
-        assert h.quantile(1.0) <= 4.0
-
-    def test_quantile_empty_is_zero(self, registry):
-        h = registry.histogram("lat_seconds")
-        assert h.quantile(0.5) == 0.0
-
-    def test_quantile_overflow_returns_last_bound(self, registry):
-        h = registry.histogram("lat_seconds", buckets=(1.0, 2.0))
-        for _ in range(10):
-            h.observe(100.0)
-        assert h.quantile(0.5) == 2.0
 
     def test_unsorted_buckets_raise(self, registry):
         with pytest.raises(MetricError, match="sorted"):
