@@ -12,7 +12,10 @@ generation and data collection are shared setup and excluded from those
 two timings, because training cost is paid per model.  A third row times
 what ``repro gateway`` pays per boot: building the data source and
 binding the artifact without a dataset (its histories ride in the
-artifact, so no collection and no message stream).
+artifact, so no collection and no message stream).  A fourth times what
+``repro serve --load`` pays per boot: building the source, the §3
+collection (message stream, keyword filter and detector included) and
+binding the artifact to the collected dataset.
 """
 
 import os
@@ -71,9 +74,21 @@ def test_service_startup(benchmark, startup_setup):
                                         config=ReproConfig.tiny()))
     gateway_seconds = time.perf_counter() - started
 
+    started = time.perf_counter()
+    serve_source = parse_source_spec("synthetic", config=ReproConfig.tiny())
+    serve_collection = collect(serve_source)
+    served = PredictionService.from_artifact(
+        artifact_dir, serve_source, serve_collection.dataset
+    )
+    serve_seconds = time.perf_counter() - started
+    examples = len(serve_collection.dataset.examples)
+
     # Both boots produce a service over the same channel universe.
     channel = next(iter(loaded.predictor._channel_index))
     assert retrained.knows_channel(channel) and loaded.knows_channel(channel)
+    assert served.knows_channel(channel)
+    # The serve boot replays the held-out stream over this dataset.
+    assert examples > 0
 
     speedup = retrain_seconds / artifact_seconds if artifact_seconds else 0.0
     report(
@@ -85,7 +100,10 @@ def test_service_startup(benchmark, startup_setup):
         f"speedup: {speedup:.1f}x\n"
         f"gateway-shaped boot, source build + artifact without a dataset: "
         f"{gateway_seconds*1000:.0f} ms "
-        f"({len(gateway.history_snapshot())} seeded channel histories)",
+        f"({len(gateway.history_snapshot())} seeded channel histories)\n"
+        f"serve-shaped boot, source build + collect + artifact bound to the "
+        f"dataset: {serve_seconds*1000:.0f} ms ({examples} dataset examples, "
+        f"{len(serve_collection.detection.detected)} detected messages)",
     )
     # The whole point of the artifact path: strictly faster than training.
     assert artifact_seconds < retrain_seconds

@@ -118,8 +118,11 @@ def run_detection_pipeline(messages: Sequence[Message], coin_symbols: Sequence[s
         reports[name] = detector.evaluate(test_texts, labels[test_idx])
         detectors[name] = detector
 
-    probs = detectors["rf"].predict_proba([m.text for m in filtered])
-    detected = [m for m, p in zip(filtered, probs) if p >= DETECTION_THRESHOLD]
+    # Chatter repeats its texts; a TF-IDF row and its tree routes depend
+    # only on the text, so each distinct text is scored once.
+    distinct = list(dict.fromkeys(m.text for m in filtered))
+    prob = dict(zip(distinct, detectors["rf"].predict_proba(distinct)))
+    detected = [m for m in filtered if prob[m.text] >= DETECTION_THRESHOLD]
     return DetectionOutcome(
         reports=reports,
         detected=detected,

@@ -331,10 +331,6 @@ class PredictionService:
         # last look, so this batch scores against the same global history
         # a single process would have.
         self.catch_up()
-        for announcement in announcements:
-            # Logged before scoring: a crash mid-batch still leaves a
-            # durable record of what was asked.
-            self.store.append_announcement(announcement)
         started = _time.perf_counter()
         with span("service.rank_batch", batch=len(announcements),
                   model=self.model_name):
@@ -362,6 +358,11 @@ class PredictionService:
                                       model=self.model_name)
             alerts.append(Alert(announcement=announcement, ranking=ranking,
                                 latency_ms=per_announcement))
+        for announcement in announcements:
+            # Logged once the batch has scored, before its alerts: a batch
+            # the source cannot score (or a coalesced flush re-scored one
+            # at a time) leaves no row for what was refused.
+            self.store.append_announcement(announcement)
         for alert in alerts:
             self.store.append_alert(alert)
         for announcement in announcements:

@@ -110,6 +110,7 @@ class MessageGenerator:
         self.market = market
         self._rng = np.random.default_rng(config.seed * 92821 + 5)
         self._next_id = 0
+        self._pools: dict[int, np.ndarray] = {}
 
     def _emit(self, out: list[Message], channel_id: int, time: float, text: str,
               kind: str, event_id: int = -1) -> None:
@@ -196,10 +197,16 @@ class MessageGenerator:
 
     # -- chatter -------------------------------------------------------------------
 
-    def _cluster_symbols(self, cluster: int) -> list[str]:
-        ids = np.flatnonzero(self.universe.cluster == cluster)
-        ids = ids[ids >= 3]  # skip pairing majors
-        return [self.universe.symbols[i] for i in ids]
+    def _cluster_symbols(self, cluster: int) -> np.ndarray:
+        """The cluster's symbols as the array ``rng.choice`` would build
+        from their list, built once per cluster."""
+        pool = self._pools.get(cluster)
+        if pool is None:
+            ids = np.flatnonzero(self.universe.cluster == cluster)
+            ids = ids[ids >= 3]  # skip pairing majors
+            pool = np.array([self.universe.symbols[i] for i in ids])
+            self._pools[cluster] = pool
+        return pool
 
     def _topic_text(self, cluster: int) -> str:
         rng = self._rng
@@ -211,9 +218,9 @@ class MessageGenerator:
         return template.format(a=picks[0].lower(), b=picks[1].lower(),
                                c=picks[2].lower())
 
-    def _sentiment_text(self, time: float) -> str:
-        """BTC chatter whose polarity follows the latent market mood."""
-        mood = float(self.market.market_mood(np.array([time]))[0])
+    def _sentiment_text(self, mood: float) -> str:
+        """BTC chatter whose polarity follows the latent market ``mood``
+        at the message's time."""
         p_pos = 1.0 / (1.0 + np.exp(-(2.2 * mood + self._rng.normal(0, 0.5))))
         bank = _POSITIVE_BANK if self._rng.random() < p_pos else _NEGATIVE_BANK
         return str(self._rng.choice(bank))
@@ -228,12 +235,15 @@ class MessageGenerator:
 
         def channel_chatter(channel_id: int, cluster: int, count: int) -> None:
             times = np.sort(rng.uniform(0, horizon, count))
-            for t in times:
+            # The mood is elementwise in time and draws nothing from rng.
+            moods = self.market.market_mood(times)
+            for t, mood in zip(times, moods):
                 roll = rng.random()
                 if roll < 0.3:
                     self._emit(out, channel_id, t, self._topic_text(cluster), "topic")
                 elif roll < 0.5:
-                    self._emit(out, channel_id, t, self._sentiment_text(t), "sentiment")
+                    self._emit(out, channel_id, t, self._sentiment_text(float(mood)),
+                               "sentiment")
                 elif roll < 0.72:
                     self._emit(out, channel_id, t,
                                str(rng.choice(_HARD_NEGATIVE_BANK)), "generic")
@@ -283,7 +293,9 @@ class MessageGenerator:
                 t = hour + rng.random()
                 channel = int(rng.choice(group_ids))
                 if rng.random() < 0.75:
-                    self._emit(out, channel, t, self._sentiment_text(t), "sentiment")
+                    mood = float(self.market.market_mood(np.array([t]))[0])
+                    self._emit(out, channel, t, self._sentiment_text(mood),
+                               "sentiment")
                 else:
                     self._emit(out, channel, t,
                                str(rng.choice(_GENERIC_BANK)), "generic")

@@ -18,6 +18,8 @@ PUMP_KEYWORDS = frozenset(
     minutes hours ready soon vip dump moon""".split()
 )
 
+_WORD_RUN = re.compile(r"\w+")
+
 
 class KeywordFilter:
     """Reserve messages mentioning coins, exchanges or pump vocabulary.
@@ -25,6 +27,15 @@ class KeywordFilter:
     Coin symbols are matched case-sensitively in the raw text when uppercase
     (the release format, e.g. ``"FIC"``) and case-insensitively as ``$sym``
     tags; exchange names and keywords match on cleaned lowercase text.
+
+    An uppercase mention is a ``\\bSYM\\b`` match.  A symbol made only of
+    word characters (``re``'s ``\\w``: letters, digits, ``_``) matches that
+    way exactly when it is a whole ``\\w+`` run of the message, so such
+    symbols are looked up as the message's word tokens in a frozenset.  The
+    ``\\b(?:…)\\b`` regex is compiled only for symbols holding any other
+    character (``-``, ``.``, ``$``, …) and runs only when there are some.
+    The ``$sym`` tag regex covers every symbol.  :meth:`filter` decides
+    each distinct text once.
     """
 
     def __init__(self, coin_symbols: Sequence[str], exchange_names: Sequence[str],
@@ -34,17 +45,24 @@ class KeywordFilter:
         self.coin_symbols = {s.upper() for s in coin_symbols}
         self.exchange_names = {e.lower() for e in exchange_names}
         self.keywords = set(PUMP_KEYWORDS) | {k.lower() for k in extra_keywords}
-        # One pass regex for uppercase symbol mentions.
-        escaped = sorted((re.escape(s) for s in self.coin_symbols), key=len,
-                         reverse=True)
-        self._symbol_re = re.compile(r"\b(?:" + "|".join(escaped) + r")\b")
+        self._word_symbols = frozenset(
+            s for s in self.coin_symbols if _WORD_RUN.fullmatch(s)
+        )
+        other = self.coin_symbols - self._word_symbols
+        self._symbol_re = (
+            re.compile(r"\b(?:" + _alternation(other) + r")\b") if other else None
+        )
         self._tag_re = re.compile(
-            r"\$(?:" + "|".join(escaped) + r")\b", re.IGNORECASE
+            r"\$(?:" + _alternation(self.coin_symbols) + r")\b", re.IGNORECASE
         )
 
     def matches(self, message: str) -> bool:
         """True when the message must be kept for classification."""
-        if self._symbol_re.search(message) or self._tag_re.search(message):
+        if not self._word_symbols.isdisjoint(_WORD_RUN.findall(message)):
+            return True
+        if self._symbol_re is not None and self._symbol_re.search(message):
+            return True
+        if self._tag_re.search(message):
             return True
         cleaned = set(clean_message(message).split())
         if cleaned & self.keywords:
@@ -53,4 +71,11 @@ class KeywordFilter:
 
     def filter(self, messages: Sequence[str]) -> list[int]:
         """Indices of messages that pass the filter."""
-        return [i for i, m in enumerate(messages) if self.matches(m)]
+        keep = {text: self.matches(text) for text in set(messages)}
+        return [i for i, m in enumerate(messages) if keep[m]]
+
+
+def _alternation(symbols: Iterable[str]) -> str:
+    """Escaped symbols, longest first, joined for a ``(?:…)`` group."""
+    return "|".join(sorted((re.escape(s) for s in symbols), key=len,
+                           reverse=True))

@@ -11,6 +11,11 @@ under ``tmp_path``.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+from typing import Iterable
+
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -28,6 +33,23 @@ from repro.utils import ReproConfig
 
 #: The ranker families in ``tiny_predictors`` and ``tiny_registry``.
 TINY_ARCHS = ("snn", "dnn", "gru", "tcn")
+
+
+def digest_rows(rows: Iterable) -> str:
+    """sha256 over rows of fields (tuples or dataclasses), one ``repr``
+    line per row: floats through ``float.hex`` and numpy integers as
+    ``int``, so the digest names every bit and no numpy version's repr."""
+    h = hashlib.sha256()
+    for row in rows:
+        if dataclasses.is_dataclass(row):
+            row = dataclasses.astuple(row)
+        fields = tuple(
+            float(v).hex() if isinstance(v, (float, np.floating))
+            else int(v) if isinstance(v, np.integer) else v
+            for v in row
+        )
+        h.update(repr(fields).encode() + b"\n")
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="session")

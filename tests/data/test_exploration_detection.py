@@ -1,5 +1,7 @@
 """Tests for snowball exploration and pump-message detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.data import (
 from repro.markets import EXCHANGE_NAMES
 from repro.simulation import SyntheticWorld
 from repro.utils import ReproConfig
+from tests.conftest import digest_rows
 
 CFG = ReproConfig.tiny()
 
@@ -124,3 +127,24 @@ class TestDetection:
         detector = PumpMessageDetector(model="lr").fit(texts, labels)
         probs = detector.predict_proba(["pump now soon target"])
         assert probs[0] > 0.5
+
+
+class TestPinnedCollection:
+    # sha256 (see digest_rows) of the detected message ids, every sample
+    # and both Table 1 reports, recorded while the keyword filter ran a
+    # ``\b(?:SYM|…)\b`` regex over every collected message and the RF
+    # scored every filtered message, repeated texts included.
+    TINY_SHA256 = (
+        "cf157ad04c34f6de297c15687130fd2cc78f55c8b798c01bae7f1ad370cf2506"
+    )
+
+    def test_collection_is_pinned(self, tiny_collection):
+        detection = tiny_collection.detection
+        rows = [("detected", *[m.message_id for m in detection.detected])]
+        rows += [("sample", *dataclasses.astuple(s))
+                 for s in tiny_collection.samples]
+        rows += [(name, *dataclasses.astuple(detection.reports[name]))
+                 for name in sorted(detection.reports)]
+        assert (len(detection.detected), len(tiny_collection.samples)) == (
+            702, 59)
+        assert digest_rows(rows) == self.TINY_SHA256

@@ -69,6 +69,7 @@ def test_rank_past_the_dump_is_a_422_that_stores_and_folds_nothing(
         app.rank_batch(RankBatchRequestV1((uncovered,)))
     assert info.value.code == E_NO_MARKET_DATA
     assert service.store.counts()["alerts"] == 0
+    assert service.store.counts()["announcements"] == 0
     assert service.history(uncovered.channel_id) == history
     assert service.stats.alerts == 0
 
@@ -82,4 +83,7 @@ def test_coalesced_flush_answers_the_covered_batch_mate(app, covered,
     assert entries[0].alert.ranking == alone.ranking
     assert entries[1].alert is None
     assert entries[1].fault.code == E_NO_MARKET_DATA
-    assert app.service.store.counts()["alerts"] == 2
+    # One row per answered ask: the refused flush and its uncovered
+    # entry log nothing, the survivor's re-score logs it once.
+    counts = app.service.store.counts()
+    assert (counts["announcements"], counts["alerts"]) == (2, 2)

@@ -1,10 +1,13 @@
 """Tests for the sentiment analyzer and the keyword filter."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.text import KeywordFilter, SentimentAnalyzer
+from repro.text import PUMP_KEYWORDS, KeywordFilter, SentimentAnalyzer
+from repro.text.tokenize import clean_message
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +107,74 @@ class TestKeywordFilter:
     def test_requires_symbols(self):
         with pytest.raises(ValueError):
             KeywordFilter([], ["binance"])
+
+
+class RegexKeywordFilter:
+    """The two-regex formulation the token match must equal: every
+    uppercase symbol through one ``\\b(?:…)\\b`` alternation, every
+    ``$sym`` tag through one case-insensitive one."""
+
+    def __init__(self, coin_symbols, exchange_names):
+        upper = {s.upper() for s in coin_symbols}
+        escaped = sorted((re.escape(s) for s in upper), key=len, reverse=True)
+        self.symbol_re = re.compile(r"\b(?:" + "|".join(escaped) + r")\b")
+        self.tag_re = re.compile(r"\$(?:" + "|".join(escaped) + r")\b",
+                                 re.IGNORECASE)
+        self.exchange_names = {e.lower() for e in exchange_names}
+
+    def matches(self, message):
+        if self.symbol_re.search(message) or self.tag_re.search(message):
+            return True
+        cleaned = set(clean_message(message).split())
+        return bool(cleaned & PUMP_KEYWORDS or cleaned & self.exchange_names)
+
+
+# Word characters of every kind ``\w`` admits (ASCII, digits, ``_``, the
+# case-folding oddities ß, ſ and the Kelvin sign), and the non-word ones
+# that send a symbol to the regex.
+_SYMBOL_CHARS = "ABCKSabcks019_-.$\u00df\u017f\u212a"
+_FILLER_CHARS = _SYMBOL_CHARS + " !,'#@"
+
+
+@st.composite
+def symbols_and_texts(draw):
+    symbols = draw(st.lists(st.text(_SYMBOL_CHARS, min_size=1, max_size=4),
+                            min_size=1, max_size=6))
+    mention = st.sampled_from(symbols).flatmap(lambda s: st.sampled_from(
+        [s, s.upper(), s.lower(), "$" + s, "$" + s.upper(), "$" + s.lower()]))
+    piece = st.one_of(mention, st.text(_FILLER_CHARS, max_size=5),
+                      st.sampled_from(["pump", "Binance", "lunch"]))
+    glue = st.sampled_from(["", "", " ", "-", ".", "$", "_"])
+    text = st.lists(st.tuples(piece, glue), max_size=5).map(
+        lambda parts: "".join(p + g for p, g in parts))
+    return symbols, draw(st.lists(text, min_size=1, max_size=8))
+
+
+class TestTokenMatchEqualsRegex:
+    @settings(max_examples=300, deadline=None)
+    @given(symbols_and_texts())
+    def test_matches_equal_the_regex_formulation(self, case):
+        symbols, texts = case
+        filt = KeywordFilter(symbols, ["binance"])
+        reference = RegexKeywordFilter(symbols, ["binance"])
+        for text in texts:
+            assert filt.matches(text) == reference.matches(text), text
+
+    @settings(max_examples=100, deadline=None)
+    @given(symbols_and_texts())
+    def test_filter_over_repeated_texts_keeps_what_matches_accepts(self, case):
+        symbols, texts = case
+        filt = KeywordFilter(symbols, ["binance"])
+        repeated = texts + texts[::-1] + texts[:1]
+        assert filt.filter(repeated) == [
+            i for i, text in enumerate(repeated) if filt.matches(text)
+        ]
+
+    def test_word_symbols_skip_the_regex(self, tiny_world):
+        filt = KeywordFilter(["EVX", "A-B"], ["binance"])
+        assert filt.matches("moving A-B today")
+        assert not filt.matches("moving A-BC today")
+        assert filt.matches("EVX_ not a mention, EVX is") and not filt.matches(
+            "EVX_ only")
+        # The simulator's symbols are all word runs: no regex per message.
+        assert KeywordFilter(tiny_world.coins.symbols, [])._symbol_re is None
