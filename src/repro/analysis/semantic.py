@@ -34,14 +34,6 @@ class SemanticStudy:
     def mean(self, strategy: str) -> float:
         return float(self.similarities[strategy].mean())
 
-    def ordering_holds(self) -> bool:
-        """same-channel > pumped-set > random (the paper's ordering)."""
-        return (
-            self.mean("same_channel") > self.mean("pumped_set")
-            > self.mean("all_coins")
-        )
-
-
 def _pair_similarities(vectors: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     a = vectors[pairs[:, 0]]
     b = vectors[pairs[:, 1]]

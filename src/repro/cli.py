@@ -267,16 +267,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from repro.core import (
-        TargetCoinPredictor,
-        Trainer,
-        evaluate_scores,
-        make_model,
-        predict_scores,
-        snn_config_for,
-    )
-    from repro.data import collect
-    from repro.features import FeatureAssembler
+    from repro.core import train_predictor
     from repro.registry import ModelRegistry, RegistryError
 
     # Fail fast on unusable save/register targets: don't spend the
@@ -307,48 +298,29 @@ def cmd_train(args) -> int:
     try:
         # A file dump with gaps surfaces here (collection, assembly or
         # scaler fitting query the candle grid) — diagnostic, not traceback.
-        dataset = collect(source).dataset
-        signal_engine = None
-        if getattr(args, "signals", False):
-            from repro.signals import SignalEngine
-
-            signal_engine = SignalEngine.from_source(source)
-        assembler = FeatureAssembler(source, dataset,
-                                     signal_engine=signal_engine)
-        assembled = assembler.assemble()
+        predictor = train_predictor(
+            source, model=args.model, epochs=args.epochs, seed=args.seed,
+            signals=args.signals,
+        )
     except SourceDataError as exc:
         return _fail("train", str(exc))
-    model = make_model(args.model, snn_config_for(assembled), seed=args.seed)
-    trainer = Trainer(epochs=args.epochs, seed=args.seed)
-    trainer.fit(model, assembled.train, assembled.validation)
-    hr = evaluate_scores(assembled.test, predict_scores(model, assembled.test))
+    provenance = predictor.provenance
     print(format_table(
-        ["metric", "value"], [[f"HR@{k}", f"{v:.3f}"] for k, v in hr.items()],
+        ["metric", "value"],
+        [[f"HR@{k}", f"{v:.4f}"] for k, v in provenance["hr"].items()],
         title=f"{args.model} on the test split",
     ))
+    if source.kind == "synthetic":
+        # --scale only shapes the synthetic backend; recording it for a
+        # file dump would claim a world size that never applied.
+        provenance["scale"] = args.scale
     if args.save or args.register:
         from repro.registry import ArtifactError, save_artifact
 
-        try:
-            predictor = TargetCoinPredictor(source, dataset, model, assembler)
-        except SourceDataError as exc:
-            return _fail("train", str(exc))
-        provenance = {
-            "model": args.model, "epochs": args.epochs, "seed": args.seed,
-            "data_source": source.descriptor(),
-            "signal_channels": list(signal_engine.feature_names)
-            if signal_engine is not None else [],
-            "hr": {str(k): round(v, 4) for k, v in hr.items()},
-        }
-        if source.kind == "synthetic":
-            # --scale only shapes the synthetic backend; recording it for a
-            # file dump would claim a world size that never applied.
-            provenance["scale"] = args.scale
         step = "save artifact"
         try:
             if args.save:
-                path = save_artifact(predictor, args.save,
-                                     provenance=provenance)
+                path = save_artifact(predictor, args.save)
                 print(f"artifact saved to {path} "
                       f"(serve it with: repro serve --load {path})")
             if args.register:
@@ -359,8 +331,7 @@ def cmd_train(args) -> int:
                     # registered copy is byte-identical to the saved one.
                     entry = registry.import_artifact(path, args.register)
                 else:
-                    entry = registry.publish(predictor, args.register,
-                                             provenance=provenance)
+                    entry = registry.publish(predictor, args.register)
                 print(f"registered {entry.name}@{entry.version} "
                       f"under {args.registry} (latest)")
         except (ArtifactError, RegistryError, OSError) as exc:
@@ -554,10 +525,9 @@ def cmd_gateway(args) -> int:
         store, error = _open_store(args, "gateway")
         if error is not None:
             raise SystemExit(error)
-        service_options = {"bucket_hours": args.bucket_hours}
-        if store is not None:
-            service_options["store"] = store
-        service = PredictionService(predictor, **service_options)
+        service = PredictionService(predictor,
+                                    bucket_hours=args.bucket_hours,
+                                    store=store)
         if store is not None:
             recovered = rehydrate_service(service, store)
             if recovered["observations"] or recovered["alerts"]:
@@ -569,7 +539,7 @@ def cmd_gateway(args) -> int:
                 )
         app = GatewayApp(
             service, registry=ModelRegistry(args.registry), model=descriptor,
-            max_batch=args.max_batch, service_options=service_options,
+            max_batch=args.max_batch,
             telemetry=TelemetryHub(slow_ms=args.slow_ms),
         )
         return app, store

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.snn import Batch, SNNConfig
+from repro.core.snn import Batch
 from repro.features.assembler import AssembledSplit
 from repro.nn import MLP, Embedding, Module, Tensor
 from repro.sources.base import DataSource
@@ -102,10 +102,3 @@ def embedding_l1_norms(embedding_matrix: np.ndarray, train: AssembledSplit,
         test_negative=norms[test.coin_idx[test.label == 0]],
         test_untrained=norms[test.coin_idx[untrained_mask]],
     )
-
-
-def snn_config_with_pretrained(config: SNNConfig, dim: int) -> SNNConfig:
-    """Config variant whose coin-embedding dim matches pre-trained vectors."""
-    from dataclasses import replace
-
-    return replace(config, coin_emb_dim=dim)

@@ -48,15 +48,17 @@ def train_predictor(source: DataSource, collection=None, *,
     """The standard source → collect → assemble → train → predictor wiring.
 
     ``source`` is any :class:`repro.sources.DataSource` backend.  Shared
-    by the ``serve`` CLI command, the live-monitoring example and the
-    serving tests/benchmarks, so the training contract lives in one
-    place.  Pass an existing :class:`CollectionResult` to skip re-running
-    the data pipeline.
+    by the ``train`` and ``serve`` CLI commands, the live-monitoring
+    example and the serving tests/benchmarks, so the training contract
+    lives in one place.  Pass an existing :class:`CollectionResult` to
+    skip re-running the data pipeline.
 
     ``signals=True`` appends the :mod:`repro.signals` microstructure
     channels to the numeric features (recorded in provenance and in the
     saved artifact's manifest, so registry loads rebuild the same
-    feature space).
+    feature space).  The provenance also records ``hr``, the trained
+    ranker's HR@k on the test split (4 decimals), which ``repro train``
+    prints.
     """
     import time
 
@@ -83,6 +85,9 @@ def train_predictor(source: DataSource, collection=None, *,
     )
     predictor = TargetCoinPredictor(source, collection.dataset, ranker,
                                     assembler)
+    train_seconds = round(time.perf_counter() - started, 3)
+    hr = evaluate_scores(assembled.test,
+                         predict_scores(ranker, assembled.test))
     # Recorded into saved artifacts (repro.registry) as training provenance.
     predictor.provenance = {
         "model": model,
@@ -92,7 +97,8 @@ def train_predictor(source: DataSource, collection=None, *,
         "data_source": source.descriptor(),
         "signal_channels": list(signal_engine.feature_names)
         if signal_engine is not None else [],
-        "train_seconds": round(time.perf_counter() - started, 3),
+        "train_seconds": train_seconds,
+        "hr": {str(k): round(v, 4) for k, v in hr.items()},
     }
     return predictor
 

@@ -280,29 +280,41 @@ class TargetCoinPredictor:
             self._fit_scalers()
 
     def _fit_scalers(self) -> None:
-        """Fit feature scalers on raw train-split features."""
+        """Fit feature scalers on raw train-split features.
+
+        Rows of one ranking list share channel and time, and a candidate
+        row does not depend on its batch-mates, so each sampled list's
+        rows come from one :meth:`FeatureAssembler.candidate_block` and
+        go back to their sample positions: the scaler sees the rows in
+        sample order, as if computed one at a time.
+        """
         train_rows = [e for e in self.dataset.examples if e.split == "train"]
         if not train_rows:
             raise ValueError("dataset has no training rows")
         rng = np.random.default_rng(0)
         sample = rng.choice(len(train_rows), size=min(2000, len(train_rows)),
                             replace=False)
+        # Sample positions per list, lists in first-appearance order.
+        lists: dict[int, list[int]] = {}
+        for position, idx in enumerate(sample):
+            lists.setdefault(train_rows[int(idx)].list_id, []).append(position)
         numeric_blocks = []
         seq_blocks = []
-        seen_lists: set[int] = set()
-        for idx in sample:
-            example = train_rows[int(idx)]
-            coins = np.array([example.coin_id])
+        for positions in lists.values():
+            examples = [train_rows[int(sample[p])] for p in positions]
+            first = examples[0]
+            coins = np.array([e.coin_id for e in examples])
             numeric_blocks.append(self.assembler.numeric_rows(
-                example.channel_id,
-                self.assembler.candidate_block(coins, example.time),
+                first.channel_id,
+                self.assembler.candidate_block(coins, first.time),
             ))
-            if example.list_id not in seen_lists:
-                seen_lists.add(example.list_id)
-                seq = self._sequence_cache.get(example.channel_id, example.time)
-                if seq.mask.sum():
-                    seq_blocks.append(seq.numeric[seq.mask > 0])
-        self._numeric_scaler.fit(np.vstack(numeric_blocks))
+            seq = self._sequence_cache.get(first.channel_id, first.time)
+            if seq.mask.sum():
+                seq_blocks.append(seq.numeric[seq.mask > 0])
+        stacked = np.vstack(numeric_blocks)
+        numeric = np.empty_like(stacked)
+        numeric[np.concatenate(list(lists.values()))] = stacked
+        self._numeric_scaler.fit(numeric)
         if seq_blocks:
             self._seq_scaler.fit(np.vstack(seq_blocks))
         else:

@@ -30,8 +30,8 @@ def market_feature_matrix(market: MarketDataSource, coin_ids: np.ndarray,
 
     All windows share two batched market queries: one log-price grid over
     the window end/start hours and one 72-column hourly-volume grid whose
-    prefix means reproduce every ``window_volume`` span exactly — the same
-    numbers as per-window queries at a fraction of the cost.
+    first ``x`` columns average to the window ``(x+1, 1]``'s hourly volume
+    — the same numbers as per-window queries at a fraction of the cost.
     """
     coin_ids = np.asarray(coin_ids, dtype=np.int64)
     # return = p(t-1) / p(t-x-1) - 1 for every window x, from one price grid.

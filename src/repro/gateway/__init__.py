@@ -19,10 +19,10 @@ Layers
 ------
 ``schema``  — wire-schema version, typed request/response dataclasses,
               strict decode, stable error codes (:data:`ERROR_CODES`).
-``app``     — :class:`GatewayApp`: transport-free endpoint logic with an
-              atomically swappable service.  Every ranked announcement,
-              from ``/v1/rank`` or ``/v1/rank/batch``, passes one gate
-              under the scoring lock.
+``app``     — :class:`GatewayApp`: transport-free endpoint logic over
+              one service whose model is swapped atomically on reload.
+              Every ranked announcement, from ``/v1/rank`` or
+              ``/v1/rank/batch``, passes one gate under the scoring lock.
 ``server``  — :class:`GatewayHTTPServer` (stdlib ``ThreadingHTTPServer``)
               plus :func:`make_server` / :func:`serve_in_thread`.
 ``client``  — :class:`GatewayClient`: the Python SDK; decodes responses

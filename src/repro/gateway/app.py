@@ -1,4 +1,4 @@
-"""The gateway application: endpoint logic over a swappable service.
+"""The gateway application: endpoint logic over a hot-swappable model.
 
 :class:`GatewayApp` is transport-free — it maps typed requests
 (:mod:`repro.gateway.schema`) to typed responses over a
@@ -9,14 +9,15 @@ tests can drive the app directly without a socket.
 
 Hot-swap contract (``/v1/models/reload``)
 -----------------------------------------
-The replacement service is built *outside* the scoring lock (artifact
-load + compiled-plan verification take milliseconds to seconds; requests
-keep scoring on the old model meanwhile).  The swap itself happens under
-the scoring lock: the streamed state (history cache, dedup window, fold
-cursor) and the live :class:`ServiceStats` are carried across, and the
-service pointer is replaced in one assignment.  A request that already
-entered the scoring section finishes on the model it started with —
-nothing is dropped, nothing scores half-old-half-new.
+The new model is loaded and verified *outside* the scoring lock
+(artifact checksums, the bind to the data source and the compiled-plan
+verification take milliseconds to seconds; requests keep scoring on the
+old model meanwhile).  It is then swapped into the live service under
+the scoring lock (:meth:`PredictionService.swap`), and the app keeps
+that one service for its life: its configuration, histories, dedup
+window and metrics stay as they were.  A request that already entered
+the scoring section finishes on the model it started with — nothing is
+dropped, nothing scores half-old-half-new.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import threading
 import time as _time
 from pathlib import Path
 
+from repro.core.predictor import TargetCoinPredictor
 from repro.gateway.schema import (
     E_BAD_ARTIFACT,
     E_BATCH_TOO_LARGE,
@@ -88,12 +90,14 @@ def describe_model(ref: str | None, path=None) -> dict:
 
 
 class GatewayApp:
-    """Versioned JSON API over a hot-swappable prediction service.
+    """Versioned JSON API over a prediction service with a hot-swappable
+    model.
 
     Parameters
     ----------
     service:
-        The booted :class:`PredictionService` to serve.
+        The booted :class:`PredictionService` to serve, for the app's
+        whole life; reload swaps the model inside it.
     registry:
         Optional :class:`~repro.registry.ModelRegistry` backing
         ``GET /v1/models`` and ``POST /v1/models/reload``; without one the
@@ -104,9 +108,6 @@ class GatewayApp:
     max_batch:
         ``/v1/rank/batch`` requests larger than this fail with the stable
         code ``batch_too_large`` instead of monopolizing the model.
-    service_options:
-        Keyword arguments re-applied when reload builds the replacement
-        service (``bucket_hours``, ``cache_entries``, ...).
     telemetry:
         Optional :class:`~repro.telemetry.TelemetryHub` collecting the
         gateway's metrics, traces and structured logs.  A private hub is
@@ -115,18 +116,12 @@ class GatewayApp:
 
     def __init__(self, service: PredictionService, *, registry=None,
                  model: dict | None = None, max_batch: int = DEFAULT_MAX_BATCH,
-                 service_options: dict | None = None,
                  telemetry: TelemetryHub | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        self._service = service
-        # The durable event log the service writes through (NullEventStore
-        # when serving from memory); the app reuses it for stats snapshots
-        # and threads it into every reload-built replacement service.
-        self.store = service.store
+        self.service = service
         self.registry = registry
         self.max_batch = max_batch
-        self._service_options = dict(service_options or {})
         if model is None:
             model = describe_model(None)
             model["arch"] = type(service.predictor.model).__name__
@@ -201,20 +196,13 @@ class GatewayApp:
             arch=str(self.model.get("arch") or ""),
         ).set(1)
 
-    @property
-    def service(self) -> PredictionService:
-        """The currently serving service (atomically swapped on reload)."""
-        return self._service
-
     def count(self, key: str) -> None:
         with self._counter_lock:
             self.counters[key] = self.counters.get(key, 0) + 1
 
     # -- scoring -------------------------------------------------------------
 
-    @staticmethod
-    def _id_fault(service: PredictionService,
-                  announcement: Announcement) -> GatewayFault | None:
+    def _id_fault(self, announcement: Announcement) -> GatewayFault | None:
         """Refuse coin and exchange ids the data source does not have.
 
         A ranked or observed announcement with ``coin_id >= 0`` is folded
@@ -225,7 +213,7 @@ class GatewayApp:
         outside ``0..n_exchanges-1`` would index past the listing table,
         or wrap around to another exchange's listings.
         """
-        source = service.predictor.source
+        source = self.service.predictor.source
         universe = len(source.coins.symbols)
         if announcement.coin_id >= universe:
             return bad_request(
@@ -239,8 +227,7 @@ class GatewayApp:
             )
         return None
 
-    def _refusal(self, service: PredictionService,
-                 announcement: Announcement,
+    def _refusal(self, announcement: Announcement,
                  deadline) -> GatewayFault | None:
         """Why ``announcement`` must not be scored, or ``None``.
 
@@ -258,16 +245,16 @@ class GatewayApp:
                 f"request deadline ({deadline.budget_seconds * 1000:.0f}"
                 " ms) expired before scoring started",
             )
-        fault = self._id_fault(service, announcement)
+        fault = self._id_fault(announcement)
         if fault is not None:
             return fault
-        if not service.knows_channel(announcement.channel_id):
+        if not self.service.knows_channel(announcement.channel_id):
             return GatewayFault(
                 E_UNKNOWN_CHANNEL, 422,
                 f"channel {announcement.channel_id} was not part of the "
                 "training universe",
             )
-        if not service.has_candidates(announcement):
+        if not self.service.has_candidates(announcement):
             return GatewayFault(
                 E_NO_CANDIDATES, 422,
                 f"no eligible coins listed on exchange "
@@ -275,9 +262,7 @@ class GatewayApp:
             )
         return None
 
-    @staticmethod
-    def _score(service: PredictionService,
-               announcements: list[Announcement]) -> list[Alert]:
+    def _score(self, announcements: list[Announcement]) -> list[Alert]:
         """``service.rank_batch``, answering missing market data with a
         422.
 
@@ -286,7 +271,7 @@ class GatewayApp:
         are computed: before any alert is stored or anything is folded.
         """
         try:
-            return service.rank_batch(announcements)
+            return self.service.rank_batch(announcements)
         except SourceDataError as exc:
             raise GatewayFault(
                 E_NO_MARKET_DATA, 422,
@@ -307,24 +292,21 @@ class GatewayApp:
         """
         self._m_microbatch_flushes.inc()
         self._m_microbatch_requests.inc(len(entries))
-        service = self._service
         ready = []
         for entry in entries:
-            entry.fault = self._refusal(service, entry.announcement,
-                                        entry.deadline)
+            entry.fault = self._refusal(entry.announcement, entry.deadline)
             if entry.fault is None:
                 ready.append(entry)
         if not ready:
             return
         try:
-            alerts = self._score(service,
-                                 [entry.announcement for entry in ready])
+            alerts = self._score([entry.announcement for entry in ready])
         except GatewayFault:
             if len(ready) == 1:
                 raise
             for entry in ready:
                 try:
-                    entry.alert, = self._score(service, [entry.announcement])
+                    entry.alert, = self._score([entry.announcement])
                 except GatewayFault as fault:
                     entry.fault = fault
             return
@@ -348,28 +330,25 @@ class GatewayApp:
             return RankBatchResponseV1(())
         announcements = list(request.announcements)
         with self._score_lock:
-            service = self._service
             deadline = current_deadline()
             # All or nothing: the first refusal answers for the whole
             # request before any announcement is scored.
             for announcement in announcements:
-                fault = self._refusal(service, announcement, deadline)
+                fault = self._refusal(announcement, deadline)
                 if fault is not None:
                     raise fault
-            return RankBatchResponseV1(
-                tuple(self._score(service, announcements))
-            )
+            return RankBatchResponseV1(tuple(self._score(announcements)))
 
     def observe(self, request: ObserveRequestV1) -> ObserveResponseV1:
         self.count("observe")
         announcement = request.announcement
         with self._score_lock:
-            service = self._service
-            fault = self._id_fault(service, announcement)
+            fault = self._id_fault(announcement)
             if fault is not None:
                 raise fault
-            grew = service.observe(announcement, event_id=request.event_id)
-            length = len(service.history(announcement.channel_id))
+            grew = self.service.observe(announcement,
+                                        event_id=request.event_id)
+            length = len(self.service.history(announcement.channel_id))
         # Coin id is validated >= 0 at decode, so "didn't grow" with an
         # event id attached can only mean the id was folded before.
         duplicate = request.event_id is not None and not grew
@@ -396,16 +375,12 @@ class GatewayApp:
             except RegistryError as exc:
                 self._m_reloads.labels(outcome="unknown_model").inc()
                 raise GatewayFault(E_UNKNOWN_MODEL, 404, str(exc)) from None
-            old_service = self._service
-            options = dict(self._service_options)
-            options.setdefault("store", old_service.store)
             try:
                 descriptor = describe_model(request.ref, path)
-                # Bound like the boot model, from the artifact alone;
-                # take_over below replaces its seeded histories anyway.
-                replacement = PredictionService.from_artifact(
-                    path, old_service.predictor.source,
-                    stats=old_service.stats, **options,
+                # Bound like the boot model, from the artifact alone: the
+                # service keeps its own histories across the swap.
+                predictor = TargetCoinPredictor.from_artifact(
+                    path, self.service.predictor.source
                 )
             except ArtifactError as exc:
                 self._m_reloads.labels(outcome="bad_artifact").inc()
@@ -414,12 +389,8 @@ class GatewayApp:
                     f"artifact {request.ref!r} failed to load: {exc}",
                 ) from None
             with self._score_lock:
-                # The new model continues the old one's stream: the pump
-                # sequences it accumulated, its dedup window and its fold
-                # cursor on the shared store.
-                replacement.take_over(old_service)
+                self.service.swap(predictor)
                 previous, self.model = self.model, descriptor
-                self._service = replacement
             self.reloads += 1
             self._m_reloads.labels(outcome="ok").inc()
             self._set_model_info()
@@ -455,7 +426,7 @@ class GatewayApp:
             "uptime_seconds": round(_time.monotonic() - self._started, 3),
             "requests": counters,
         }
-        return StatsResponseV1(service=self._service.stats.summary(),
+        return StatsResponseV1(service=self.service.stats.summary(),
                                gateway=gateway)
 
     # -- observability -------------------------------------------------------
@@ -486,7 +457,7 @@ class GatewayApp:
         restores counters from the latest snapshot (exact row-backed
         counters are then overridden from the log itself).
         """
-        self.store.append_stats(self._service.stats.summary())
+        self.service.store.append_stats(self.service.stats.summary())
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of every registry this app can see.
@@ -495,7 +466,7 @@ class GatewayApp:
         the sibling workers' latest dumps into this worker's exposition
         so any worker answers a pool-level scrape.
         """
-        text = self.telemetry.render_metrics(self._service.stats.registry)
+        text = self.telemetry.render_metrics(self.service.stats.registry)
         if self.metrics_merge is not None:
             text = self.metrics_merge(text)
         return text

@@ -77,9 +77,6 @@ class Project:
     by_name: dict[str, ModuleInfo]
     imports: dict[str, list[ImportRecord]]
 
-    def module_exists(self, name: str) -> bool:
-        return name in self.by_name
-
     def modules_under(self, prefix: str) -> list[ModuleInfo]:
         """Modules whose dotted name equals or lives under ``prefix``."""
         return [m for m in self.modules

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.postdetect.anomaly import AnomalyDetector
-from repro.simulation.market import PUMP_PEAK_MINUTES
 from repro.simulation.world import SyntheticWorld
 
 
@@ -35,13 +34,6 @@ class DelayStudy:
         if not self.delays:
             return float("nan")
         return float(np.median(self.delays))
-
-    def detected_before_peak(self) -> float:
-        """Fraction of detections that fired before the price peak."""
-        if not self.delays:
-            return 0.0
-        return float(np.mean([d < PUMP_PEAK_MINUTES for d in self.delays]))
-
 
 def evaluate_detector(detector: AnomalyDetector, coin_id: int,
                       pump_time: float, scan_lead_minutes: int = 30,

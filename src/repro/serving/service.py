@@ -133,16 +133,11 @@ class PredictionService:
                  bucket_hours: float = 1.0, cache_entries: int = 512,
                  stats: ServiceStats | None = None,
                  store: EventStore | None = None):
-        self.predictor = predictor
         self.store = store if store is not None else NullEventStore()
         self.stats = stats or ServiceStats()
-        # Labels the rank_latency_seconds series (and trace attributes).
-        self.model_name = type(predictor.model).__name__
         self.bucket_hours = bucket_hours
-        self._cache = FeatureCache(
-            predictor.coin_market_block, bucket_hours=bucket_hours,
-            max_entries=cache_entries, stats=self.stats,
-        )
+        self.cache_entries = cache_entries
+        self.swap(predictor)
         boundary = predictor.dataset.split_hours[1]
         if history_cutoff is None:
             history_cutoff = boundary
@@ -154,15 +149,6 @@ class PredictionService:
                 "dataset to seed from later samples"
             )
         self.history_cutoff = history_cutoff
-        # Trace AND verify the shared no-grad inference plan up front (on a
-        # synthetic batch): the streaming engine serves alerts through the
-        # same compiled plan batch evaluation uses (see repro.nn.compile),
-        # so the first announcement pays neither tracing nor the verify-time
-        # eager forward.
-        prewarm(predictor.model)
-        # Candidate sets resolved by the has_candidates() gate, kept until
-        # rank_batch() consumes them so the lookup runs once per alert.
-        self._candidates_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         # Observation event ids already folded (value unused) — the fast
         # path of retry/replay dedup; the durable store is the slow path.
         self._seen_events: "OrderedDict[str, None]" = OrderedDict()
@@ -176,6 +162,36 @@ class PredictionService:
             seeded = history_window(samples, history_cutoff, len(samples))
             if seeded:
                 self._history[channel_id] = seeded
+
+    def swap(self, predictor: TargetCoinPredictor) -> None:
+        """Serve ``predictor`` from now on, continuing the same stream.
+
+        The constructor binds its predictor through here, and the
+        gateway's ``/v1/models/reload`` calls it under the scoring lock
+        with a predictor loaded off the lock.  The coin/market feature
+        cache and the candidate memo start fresh, bound to ``predictor``.
+        The stream stays: the history cache, the dedup window, the fold
+        cursor on the store, the stats, the store, ``bucket_hours`` and
+        ``cache_entries``.  So a hot-swap loses none of the announcements
+        streamed since boot, still deduplicates a retry straddling it,
+        and keeps folding other writers' observations from where it was.
+        """
+        self.predictor = predictor
+        # Labels the rank_latency_seconds series (and trace attributes).
+        self.model_name = type(predictor.model).__name__
+        # Trace AND verify the shared no-grad inference plan up front (on a
+        # synthetic batch): the streaming engine serves alerts through the
+        # same compiled plan batch evaluation uses (see repro.nn.compile),
+        # so the first announcement pays neither tracing nor the verify-time
+        # eager forward.
+        prewarm(predictor.model)
+        self._cache = FeatureCache(
+            predictor.coin_market_block, bucket_hours=self.bucket_hours,
+            max_entries=self.cache_entries, stats=self.stats,
+        )
+        # Candidate sets resolved by the has_candidates() gate, kept until
+        # rank_batch() consumes them so the lookup runs once per alert.
+        self._candidates_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 
     @classmethod
     def from_artifact(cls, artifact, source, dataset=None,
@@ -283,30 +299,9 @@ class PredictionService:
             self._seen_events.popitem(last=False)
 
     def history_snapshot(self) -> dict[int, list[PnDSample]]:
-        """Copy of the full per-channel history cache (for hot-swaps)."""
+        """Copy of the full per-channel history cache."""
         return {channel_id: list(samples)
                 for channel_id, samples in self._history.items()}
-
-    def restore_history(self,
-                        snapshot: dict[int, list[PnDSample]]) -> None:
-        """Replace the history cache with a :meth:`history_snapshot`."""
-        self._history = {channel_id: list(samples)
-                         for channel_id, samples in snapshot.items()}
-
-    def take_over(self, previous: "PredictionService") -> None:
-        """Continue ``previous``'s stream: its history, dedup window and
-        fold cursor.
-
-        The gateway's ``/v1/models/reload`` builds the replacement service
-        off-thread, on the same store, and calls this under the scoring
-        lock, so a hot-swap loses none of the announcements streamed since
-        boot, still deduplicates a retry straddling the swap, and keeps
-        folding other writers' observations from where ``previous`` left
-        off.
-        """
-        self.restore_history(previous.history_snapshot())
-        self._seen_events = OrderedDict(previous._seen_events)
-        self._store_cursor = previous._store_cursor
 
     def _history_before(self, channel_id: int, time: float) -> list[PnDSample]:
         return history_window(self._history.get(channel_id, ()), time,

@@ -502,17 +502,14 @@ class MarketSimulator:
             log_volume = flat.reshape(log_volume.shape)
         return np.exp(log_volume)
 
-    def window_volume(self, coin_ids, pump_hour: float, x: int) -> np.ndarray:
-        """Average hourly volume over the window ``(x+1, 1]`` before the pump."""
-        return self.window_volume_profile(coin_ids, pump_hour, x).mean(axis=1)
-
     def window_volume_profile(self, coin_ids, pump_hour: float,
                               max_hours: int) -> np.ndarray:
         """Hourly volumes at offsets ``1..max_hours`` before the pump.
 
         Returns ``(len(coin_ids), max_hours)``; the mean of the first ``x``
-        columns equals ``window_volume(coin_ids, pump_hour, x)`` exactly, so
-        one query serves every window span a feature matrix needs.
+        columns is the average hourly volume over the window ``(x+1, 1]``
+        before the pump, so one query serves every window span a feature
+        matrix needs.
         """
         coin_ids = np.asarray(coin_ids, dtype=np.int64)
         offsets = np.arange(1, max_hours + 1, dtype=float)  # hours before pump
@@ -528,11 +525,6 @@ class MarketSimulator:
         """Proxy trade count for already-known volumes (single source of
         truth for the formula, shared with the feature layer)."""
         return volume / np.maximum(self.typical_trade_size(coin_ids), 1e-12)
-
-    def window_trade_count(self, coin_ids, pump_hour: float, x: int) -> np.ndarray:
-        """Proxy trade count: volume divided by a per-coin typical trade size."""
-        volume = self.window_volume(coin_ids, pump_hour, x)
-        return self.trade_count_from_volume(volume, coin_ids)
 
     # -- OHLCV bars -------------------------------------------------------------
 

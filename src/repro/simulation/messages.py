@@ -212,9 +212,9 @@ class MessageGenerator:
         rng = self._rng
         pool = self._cluster_symbols(cluster)
         if len(pool) < 3:
-            return str(rng.choice(_GENERIC_BANK))
+            return _GENERIC_BANK[rng.integers(len(_GENERIC_BANK))]
         picks = rng.choice(pool, size=3, replace=False)
-        template = str(rng.choice(_TOPIC_TEMPLATES))
+        template = _TOPIC_TEMPLATES[rng.integers(len(_TOPIC_TEMPLATES))]
         return template.format(a=picks[0].lower(), b=picks[1].lower(),
                                c=picks[2].lower())
 
@@ -223,7 +223,7 @@ class MessageGenerator:
         at the message's time."""
         p_pos = 1.0 / (1.0 + np.exp(-(2.2 * mood + self._rng.normal(0, 0.5))))
         bank = _POSITIVE_BANK if self._rng.random() < p_pos else _NEGATIVE_BANK
-        return str(self._rng.choice(bank))
+        return bank[self._rng.integers(len(bank))]
 
     def generate_chatter(self) -> list[Message]:
         """Background traffic for every channel plus invitation adverts."""
@@ -246,10 +246,13 @@ class MessageGenerator:
                                "sentiment")
                 elif roll < 0.72:
                     self._emit(out, channel_id, t,
-                               str(rng.choice(_HARD_NEGATIVE_BANK)), "generic")
+                               _HARD_NEGATIVE_BANK[
+                                   rng.integers(len(_HARD_NEGATIVE_BANK))],
+                               "generic")
                 else:
                     self._emit(out, channel_id, t,
-                               str(rng.choice(_GENERIC_BANK)), "generic")
+                               _GENERIC_BANK[rng.integers(len(_GENERIC_BANK))],
+                               "generic")
 
         for channel in self.channels.pump_channels:
             if channel.deleted:
@@ -291,14 +294,15 @@ class MessageGenerator:
             count = int(rng.poisson(per_hour))
             for _ in range(count):
                 t = hour + rng.random()
-                channel = int(rng.choice(group_ids))
+                channel = group_ids[rng.integers(len(group_ids))]
                 if rng.random() < 0.75:
                     mood = float(self.market.market_mood(np.array([t]))[0])
                     self._emit(out, channel, t, self._sentiment_text(mood),
                                "sentiment")
                 else:
                     self._emit(out, channel, t,
-                               str(rng.choice(_GENERIC_BANK)), "generic")
+                               _GENERIC_BANK[rng.integers(len(_GENERIC_BANK))],
+                               "generic")
         return out
 
     # -- facade ---------------------------------------------------------------------

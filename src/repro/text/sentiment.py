@@ -142,7 +142,3 @@ class SentimentAnalyzer:
             pos=round(pos_sum / denom, 4),
             compound=round(float(np.clip(compound, -1, 1)), 4),
         )
-
-    def score_many(self, texts) -> list[SentimentScores]:
-        """Score a batch of messages."""
-        return [self.score(t) for t in texts]

@@ -12,8 +12,9 @@ import threading
 import pytest
 
 from repro.gateway import GatewayApp
+from repro.gateway.schema import RankRequestV1, ReloadRequestV1
 from repro.registry import ModelRegistry
-from repro.serving import Announcement
+from repro.serving import Announcement, PredictionService
 from tests.gateway.conftest import make_announcements, service_from
 
 WORKERS = 4
@@ -145,7 +146,7 @@ def test_reload_carries_streamed_history_across(tiny_source, tiny_collection,
     observed = make_announcements(test_positives, 1)[0]
     before = client.observe(observed).history_length
     client.reload("dnn")
-    # The replacement service must still hold the streamed announcement.
+    # The service must still hold the streamed announcement.
     assert len(app.service.history(observed.channel_id)) == before
 
     # Reference: a fresh dnn service given the same observation agrees
@@ -157,3 +158,29 @@ def test_reload_carries_streamed_history_across(tiny_source, tiny_collection,
                          time=observed.time + 1.0)
     assert exact(client.rank(probe).ranking) == \
         exact(witness.rank_one(probe).ranking)
+
+
+def test_reload_keeps_the_service_configuration(tiny_source, tiny_registry,
+                                                test_positives):
+    """Reload swaps the model inside the one service the app was given, so
+    every option it was built with survives: here ``bucket_hours=0``,
+    which a sentinel at a fractional hour would rank differently
+    without."""
+    service = PredictionService.from_artifact(
+        tiny_registry.resolve("dnn"), tiny_source, bucket_hours=0.0
+    )
+    app = GatewayApp(service, registry=tiny_registry)
+    base = test_positives[0]
+    probe = RankRequestV1(Announcement(
+        channel_id=base.channel_id, coin_id=-1, exchange_id=0, pair="BTC",
+        time=base.time + 0.37,
+    ))
+    before = app.rank(probe).alert.ranking
+
+    app.reload(ReloadRequestV1(ref="dnn"))
+
+    assert app.service is service
+    assert app.service.bucket_hours == 0.0
+    after = app.rank(probe).alert.ranking
+    assert exact(after) == exact(before)
+    assert after.to_json() == before.to_json()

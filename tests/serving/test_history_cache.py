@@ -9,6 +9,7 @@ encoding ever outlives the history it came from.
 import numpy as np
 import pytest
 
+from repro.core import TargetCoinPredictor
 from repro.features import SequenceFeatureCache
 from repro.serving import Announcement, PredictionService
 
@@ -86,21 +87,31 @@ class TestServingHistoryCache:
         assert reference.observe(release, event_id="grow")
         assert scores(after) == scores(reference.rank_one(probe))
 
-    def test_rankings_survive_restore_history(self, fresh_service, releases):
+    def test_rankings_survive_swap(self, fresh_service, artifact,
+                                   tiny_source, tiny_collection, releases):
         service = fresh_service()
-        seeded = service.history_snapshot()
         probes = [sentinel(a, delay=1.0) for a in releases[:4]]
         before_stream = [scores(service.rank_one(p)) for p in probes]
         service.rank_batch(releases[:4])  # folds the releases
         streamed = [scores(service.rank_one(p)) for p in probes]
         assert streamed != before_stream
-        # A hot-swap carries the history into a service with a cold cache.
-        swapped = fresh_service()
-        swapped.restore_history(service.history_snapshot())
-        assert [scores(swapped.rank_one(p)) for p in probes] == streamed
-        # Rolling back to the seeded history serves the old windows again.
-        service.restore_history(seeded)
-        assert [scores(service.rank_one(p)) for p in probes] == before_stream
+        # What a cold feature cache pays for these probes.
+        cold = fresh_service()
+        for probe in probes:
+            cold.rank_one(probe)
+        # A hot-swap to a fresh predictor of the same artifact keeps the
+        # streamed history and ranks as if it never happened, from cold
+        # caches.
+        history = service.history_snapshot()
+        misses = service.stats.cache_misses
+        service.swap(TargetCoinPredictor.from_artifact(
+            artifact, tiny_source, tiny_collection.dataset
+        ))
+        assert service.history_snapshot() == history
+        assert cache_of(service).misses == 0
+        assert [scores(service.rank_one(p)) for p in probes] == streamed
+        assert service.stats.cache_misses - misses == cold.stats.cache_misses
+        assert cache_of(service).misses >= 1
 
 
 class TestSequenceFeatureCacheLRU:

@@ -237,21 +237,43 @@ class TestObserveSentinel:
         assert len(service.history(base.channel_id)) == before + 1
 
 
-class TestHistorySnapshot:
-    def test_snapshot_round_trip_is_deep_enough(self, tiny_predictor,
-                                                test_positives):
-        service = PredictionService(tiny_predictor)
-        other = PredictionService(tiny_predictor)
+class TestSwap:
+    def test_swap_keeps_the_stream_and_starts_a_cold_cache(self,
+                                                           tiny_predictor,
+                                                           test_positives):
         announcement = _announcements(test_positives, 1)[0]
-        service.observe(announcement)
+        probe = Announcement(channel_id=announcement.channel_id, coin_id=-1,
+                             exchange_id=0, pair="BTC",
+                             time=announcement.time + 1.37)
+        witness = PredictionService(tiny_predictor, bucket_hours=0.0,
+                                    cache_entries=8)
+        service = PredictionService(tiny_predictor, bucket_hours=0.0,
+                                    cache_entries=8)
+        for each in (witness, service):
+            assert each.observe(announcement, event_id="obs-1")
+        expected = witness.rank_one(probe).ranking
+        service.rank_one(probe)  # warms the feature cache
+        stats = service.stats
         snapshot = service.history_snapshot()
-        other.restore_history(snapshot)
-        assert other.history(announcement.channel_id) == \
-            service.history(announcement.channel_id)
-        # Mutating one side afterwards must not leak into the other.
-        service.observe(Announcement(
+
+        service.swap(TargetCoinPredictor.from_artifact(
+            tiny_predictor.to_artifact(), tiny_predictor.source,
+            tiny_predictor.dataset,
+        ))
+
+        assert service.predictor is not tiny_predictor
+        assert (service.bucket_hours, service.cache_entries) == (0.0, 8)
+        assert service.stats is stats
+        assert service.history_snapshot() == snapshot
+        # The dedup window survived the swap.
+        assert not service.observe(announcement, event_id="obs-1")
+        misses = stats.cache_misses
+        assert service.rank_one(probe).ranking == expected
+        assert stats.cache_misses == misses + 1
+        # The snapshot is a copy: later folds do not reach it.
+        assert service.observe(Announcement(
             channel_id=announcement.channel_id, coin_id=announcement.coin_id,
             exchange_id=0, pair="BTC", time=announcement.time + 1.0,
         ))
-        assert len(other.history(announcement.channel_id)) == \
+        assert len(snapshot[announcement.channel_id]) == \
             len(service.history(announcement.channel_id)) - 1
