@@ -8,7 +8,6 @@ from repro.features.coin import (
 from repro.features.market_windows import (
     MARKET_FEATURE_NAMES,
     WINDOW_HOURS,
-    market_feature_matrix,
 )
 from repro.features.sequence import (
     N_SEQUENCE_FEATURES,
@@ -32,7 +31,6 @@ __all__ = [
     "coin_feature_matrix",
     "MARKET_FEATURE_NAMES",
     "WINDOW_HOURS",
-    "market_feature_matrix",
     "SEQUENCE_NUMERIC_NAMES",
     "N_SEQUENCE_FEATURES",
     "SequenceFeatures",

@@ -19,8 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import ServingSlice, TargetCoinDataset, TargetCoinExample
-from repro.features.coin import COIN_FEATURE_NAMES, coin_feature_matrix
-from repro.features.market_windows import MARKET_FEATURE_NAMES, market_feature_matrix
+from repro.features.coin import COIN_FEATURE_NAMES, STABLE_LEAD_HOURS, stable_columns
+from repro.features.market_windows import (
+    MARKET_FEATURE_NAMES,
+    WINDOW_HOURS,
+    price_window_hours,
+    window_columns,
+)
 from repro.features.sequence import (
     SEQUENCE_NUMERIC_NAMES,
     SequenceFeatureCache,
@@ -122,11 +127,23 @@ class FeatureAssembler:
 
     def candidate_block(self, coins: np.ndarray, time: float) -> np.ndarray:
         """Raw channel-independent columns for candidates at ``time``:
-        coin-stable, market-movement, then signal channels (if any)."""
+        coin-stable, market-movement, then signal channels (if any).
+
+        Two market reads serve both groups: one log-price grid over the
+        window hours plus ``t - STABLE_LEAD_HOURS``, and one 72-column
+        volume profile, which holds the stable hour too.  The stable
+        columns are :func:`~repro.features.coin.coin_feature_matrix`'s, bit
+        for bit.
+        """
         market = self.source.market
+        coins = np.asarray(coins, dtype=np.int64)
+        hours = np.append(price_window_hours(time), time - STABLE_LEAD_HOURS)
+        logs = market.log_close(coins[:, None], hours[None, :])
+        volumes = market.window_volume_profile(coins, time, WINDOW_HOURS[-1])
         parts = [
-            coin_feature_matrix(market, coins, time),
-            market_feature_matrix(market, coins, time),
+            stable_columns(market.universe, coins, logs[:, -1],
+                           volumes[:, STABLE_LEAD_HOURS - 1]),
+            window_columns(market, coins, logs[:, :-1], volumes),
         ]
         if self.signal_engine is not None:
             parts.append(self.signal_engine.feature_block(coins, time))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sources.base import MarketDataSource
+from repro.sources.base import CoinCatalog, MarketDataSource
 
 STABLE_LEAD_HOURS = 72  # "three days prior to the pump event"
 
@@ -23,6 +23,29 @@ COIN_FEATURE_NAMES = (
 )
 
 
+def stable_columns(universe: CoinCatalog, coin_ids: np.ndarray,
+                   log_price: np.ndarray, volume: np.ndarray) -> np.ndarray:
+    """The coin-stable rows from each coin's log price and hourly volume
+    ``STABLE_LEAD_HOURS`` before its pump.
+
+    Returns ``(len(coin_ids), len(COIN_FEATURE_NAMES))``.  History
+    encodes read the price and volume with their own queries
+    (:func:`coin_feature_matrix`); a candidate block takes them from the
+    ``t - 72`` columns of its window grids.
+    """
+    return np.stack(
+        [
+            np.log(universe.market_cap[coin_ids]),
+            np.log(universe.alexa_rank[coin_ids]),
+            np.log(universe.reddit_subscribers[coin_ids] + 1.0),
+            np.log(universe.twitter_followers[coin_ids] + 1.0),
+            log_price,
+            np.log(volume + 1e-12),
+        ],
+        axis=1,
+    )
+
+
 def coin_feature_matrix(market: MarketDataSource, coin_ids: np.ndarray,
                         time: float | np.ndarray) -> np.ndarray:
     """Stable statistics for candidate coins at a pump time.
@@ -34,20 +57,9 @@ def coin_feature_matrix(market: MarketDataSource, coin_ids: np.ndarray,
     different times).
     """
     coin_ids = np.asarray(coin_ids, dtype=np.int64)
-    universe = market.universe
     stable_hour = np.broadcast_to(
         np.asarray(time, dtype=np.float64) - STABLE_LEAD_HOURS, coin_ids.shape
     )
-    log_price = market.log_close(coin_ids, stable_hour)
-    log_volume = np.log(market.hourly_volume(coin_ids, stable_hour) + 1e-12)
-    return np.stack(
-        [
-            np.log(universe.market_cap[coin_ids]),
-            np.log(universe.alexa_rank[coin_ids]),
-            np.log(universe.reddit_subscribers[coin_ids] + 1.0),
-            np.log(universe.twitter_followers[coin_ids] + 1.0),
-            log_price,
-            log_volume,
-        ],
-        axis=1,
-    )
+    return stable_columns(market.universe, coin_ids,
+                          market.log_close(coin_ids, stable_hour),
+                          market.hourly_volume(coin_ids, stable_hour))

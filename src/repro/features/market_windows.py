@@ -21,27 +21,29 @@ MARKET_FEATURE_NAMES = tuple(
 ) + ("log_trade_count_24h",)
 
 
-def market_feature_matrix(market: MarketDataSource, coin_ids: np.ndarray,
-                          time: float) -> np.ndarray:
-    """Pre-pump movement features for candidates at a pump time.
+def price_window_hours(time: float) -> np.ndarray:
+    """The log-price grid's hours: the windows' shared end ``t - 1``, then
+    each window's start ``t - x - 1``."""
+    return np.array([time - 1.0] + [time - x - 1.0 for x in WINDOW_HOURS])
 
+
+def window_columns(market: MarketDataSource, coin_ids: np.ndarray,
+                   logs: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """Pre-pump movement features from a candidate block's two window
+    grids (:meth:`~repro.features.assembler.FeatureAssembler.candidate_block`
+    reads them).
+
+    ``logs`` holds the log prices at :func:`price_window_hours`, and
+    ``volumes`` the hourly volumes 1..72 h before the pump, whose first
+    ``x`` columns average to the window ``(x+1, 1]``'s hourly volume.
     Volume ratios compare each short window to the 72h window, capturing
     *abnormal* recent activity rather than absolute (cap-driven) levels.
-
-    All windows share two batched market queries: one log-price grid over
-    the window end/start hours and one 72-column hourly-volume grid whose
-    first ``x`` columns average to the window ``(x+1, 1]``'s hourly volume
-    — the same numbers as per-window queries at a fraction of the cost.
     """
-    coin_ids = np.asarray(coin_ids, dtype=np.int64)
-    # return = p(t-1) / p(t-x-1) - 1 for every window x, from one price grid.
-    hours = np.array([time - 1.0] + [time - x - 1.0 for x in WINDOW_HOURS])
-    logs = market.log_close(coin_ids[:, None], hours[None, :])
+    # return = p(t-1) / p(t-x-1) - 1 for every window x.
     p_end = logs[:, 0]
     columns = [
         np.exp(p_end - logs[:, 1 + i]) - 1.0 for i in range(len(WINDOW_HOURS))
     ]
-    volumes = market.window_volume_profile(coin_ids, time, 72)
     base_volume = volumes.mean(axis=1)
     for x in (1, 3, 6, 12, 24):
         ratio = volumes[:, :x].mean(axis=1) / np.maximum(base_volume, 1e-12)

@@ -18,11 +18,13 @@ offline :meth:`TargetCoinPredictor.rank` path.
 
 from __future__ import annotations
 
+import bisect
 import time as _time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -279,7 +281,9 @@ class PredictionService:
 
         The one fold path: idempotent per event id, ordered by store seq.
         A fresh service starts at seq 0, so its first catch-up replays
-        the whole log (rehydration).  Returns how many rows were read.
+        the whole log (rehydration).  Each sample is inserted at its time
+        (after any equal time), so a channel's history stays chronological
+        when an observation arrives late.  Returns how many rows were read.
         """
         rows = self.store.observations_since(self._store_cursor)
         for seq, event_id, announcement in rows:
@@ -288,8 +292,9 @@ class PredictionService:
                 continue
             self._remember_event(event_id)
             if announcement.coin_id >= 0:
-                self._history.setdefault(announcement.channel_id, []).append(
-                    announcement.sample()
+                bisect.insort(
+                    self._history.setdefault(announcement.channel_id, []),
+                    announcement.sample(), key=attrgetter("time"),
                 )
         return len(rows)
 

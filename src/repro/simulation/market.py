@@ -25,16 +25,30 @@ construction: eleven uint64 arrays of ``n_coins`` states (price, volume,
 six price octaves, three volume bursts).  A draw gathers the states of the
 queried coins and extends them by the hour or block key
 (:func:`~repro.utils.hashrng.extend_hash`), one mix per element.  Octave
-and burst noise interpolate between hashed block edges; where the query
-grid is dense in hours (a candidates x 72 h window) both edges come from
-one table of the distinct blocks per coin.  The values are bit-for-bit the
-full-key hashes, and nothing is precomputed over the horizon or kept
-between calls.
+and burst noise interpolate between hashed block edges.
+
+A query takes one of two shapes, chosen by the shapes of its arguments
+alone:
+
+* **grid** — a column of coins against one shared row of hours, which is
+  what a feature-cache miss sends (candidates x the window hours).  Both
+  interpolation edges of a stream come from one table of each coin's
+  blocks, gathered with one column index, and the pump overlays expand
+  one (coin, profile) row per pair over the shared hours;
+* **flat** — anything else, broadcast to one hour per element (a history
+  encode: one pump time per sample, spanning years).  The six price
+  octaves (or three volume bursts) are drawn in one stacked pass, both
+  edges hashed directly.
+
+Either way each overlay pair evaluates only the branch it is in, because
+the other branches' terms are exact zeros.  The values are bit-for-bit
+the full-key hashes and the flat per-element overlay sums
+(``tests/simulation/test_market_reference.py``), and nothing is
+precomputed over the horizon or kept between calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,12 +79,17 @@ _OCTAVE_STREAM = 6
 # than a giveaway on every single event.
 _OCTAVE_PERIODS = (4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
 _OCTAVE_SIGMA = 0.012
+_OCTAVE_PERIOD_ARRAY = np.array(_OCTAVE_PERIODS)
+_OCTAVE_AMPLITUDES = _OCTAVE_SIGMA * np.sqrt(_OCTAVE_PERIOD_ARRAY)
 
 # Volume burst octaves: fixed-amplitude log-volume excursions at hour-to-
 # day scales (news, listings, other groups' activity).
 _VOLUME_BURST_PERIODS = (6.0, 24.0, 96.0)
 _VOLUME_BURST_AMPLITUDE = 0.55
 _VOLUME_BURST_STREAM = 7
+_VOLUME_BURST_PERIOD_ARRAY = np.array(_VOLUME_BURST_PERIODS)
+_VOLUME_BURST_AMPLITUDES = np.full(len(_VOLUME_BURST_PERIODS),
+                                   _VOLUME_BURST_AMPLITUDE)
 
 PUMP_PEAK_MINUTES = 2  # price tops out ~2 minutes after the coin release
 
@@ -109,30 +128,98 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + within
 
 
-def _edge_normals(keys: np.ndarray, block: np.ndarray):
-    """Normals keyed by ``keys`` extended with ``block`` and ``block + 1``.
+def _rows(coin_ids: np.ndarray, hours: np.ndarray):
+    """A candle query as ``(coins, hours, shape)`` rows.
 
-    ``keys`` are per-element prefix states (one per queried coin) that
-    broadcast against ``block``.  On a query dense in blocks, such as a
-    candidates x 72 h grid, one table of each key's blocks ``lo .. hi + 1``
-    serves both interpolation edges through two gathers; it is built only
-    when it holds no more draws than the two edge arrays would.  A sparse
-    query (flat per-element times spanning years) hashes both edges
-    directly.  Either way each value is the same full-key hash.
+    A grid query (a column of coins against one row of hours, which is
+    what a feature-cache miss sends) keeps its ``(1, K)`` hour row shared
+    by every coin.  Any other query is flat: ``coin_ids`` and ``hours``
+    are broadcast and flattened into one ``(R, 1)`` hour per row.  Every
+    row computes to a ``(R, K)`` block that reshapes to ``shape``.
     """
-    cells = math.prod(np.broadcast_shapes(keys.shape, block.shape))
-    if cells:
-        lo = int(block.min())
-        n = int(block.max()) - lo + 2
-        if keys.size * n <= 2 * cells:
+    if (coin_ids.ndim == 2 and coin_ids.shape[1] == 1
+            and hours.ndim == 2 and hours.shape[0] == 1):
+        return coin_ids[:, 0], hours, (len(coin_ids), hours.shape[1])
+    coin_ids, hours = np.broadcast_arrays(coin_ids, hours)
+    return coin_ids.reshape(-1), hours.reshape(-1, 1), coin_ids.shape
+
+
+def _flat(coins: np.ndarray, hours: np.ndarray):
+    """Query rows back as flat ``(coin_ids, hours)``, one per element."""
+    return tuple(a.reshape(-1)
+                 for a in np.broadcast_arrays(coins[:, None], hours))
+
+
+def _smoothstep_blocks(hours: np.ndarray, period):
+    """Interpolation block index and smoothstep weight of ``hours``."""
+    scaled = hours / period
+    block = np.floor(scaled).astype(np.int64)
+    frac = scaled - block
+    return block, frac * frac * (3.0 - 2.0 * frac)
+
+
+def _grid_edges(keys: np.ndarray, block: np.ndarray):
+    """Normals keyed by ``keys[r]`` extended with ``block`` and ``block + 1``.
+
+    ``keys`` holds one prefix state per coin row and ``block`` the
+    ``(1, K)`` block row they share.  When the row is dense in blocks
+    (a 72 h window), one table per coin of the blocks ``lo .. hi + 1``
+    serves both edges, each gathered with one column index; it is built
+    only when it holds no more draws than the two edge arrays would.
+    Either way each value is the same full-key hash.
+    """
+    cols = block[0]
+    if len(cols):
+        lo = int(cols.min())
+        n = int(cols.max()) - lo + 2
+        if n <= 2 * len(cols):
             table = normal_from_bits(
-                extend_hash(keys[..., None], np.arange(lo, lo + n))
-            ).reshape(-1)
-            rows = np.arange(0, keys.size * n, n).reshape(keys.shape)
-            at = rows + (block - lo)
-            return table[at], table[at + 1]
-    return (normal_from_bits(extend_hash(keys, block)),
-            normal_from_bits(extend_hash(keys, block + 1)))
+                extend_hash(keys[:, None], np.arange(lo, lo + n))
+            )
+            at = cols - lo
+            return table[:, at], table[:, at + 1]
+    return (normal_from_bits(extend_hash(keys[:, None], block)),
+            normal_from_bits(extend_hash(keys[:, None], block + 1)))
+
+
+def _interpolated(keys: np.ndarray, periods: np.ndarray,
+                  amplitudes: np.ndarray, coins: np.ndarray,
+                  hours: np.ndarray) -> np.ndarray:
+    """``sum_j amplitudes[j] * smoothstep(normals of stream j)`` over rows.
+
+    ``keys`` is ``(streams, n_coins)`` prefix states, one stream per
+    period.  A grid (shared hour row) interpolates stream by stream from
+    per-coin block tables; flat rows draw every stream's edges in one
+    stacked pass, hashing both edges directly.  The streams add in order
+    onto zeros either way, so every value keeps its bits.
+    """
+    out = np.zeros(np.broadcast_shapes((len(coins), 1), hours.shape))
+    if len(hours) == 1:
+        for row, period, amplitude in zip(keys, periods, amplitudes):
+            block, w = _smoothstep_blocks(hours, period)
+            left, right = _grid_edges(row[coins], block)
+            out += _blend(left, right, w, amplitude)
+        return out
+    block, w = _smoothstep_blocks(hours[:, 0], periods[:, None])
+    stream_keys = keys[:, coins]
+    terms = _blend(normal_from_bits(extend_hash(stream_keys, block)),
+                   normal_from_bits(extend_hash(stream_keys, block + 1)),
+                   w, amplitudes[:, None])
+    for term in terms:
+        out += term[:, None]
+    return out
+
+
+def _blend(left: np.ndarray, right: np.ndarray, w: np.ndarray,
+           amplitude) -> np.ndarray:
+    """``amplitude * ((1 - w) * left + w * right)``, computed in the
+    buffers of the two fresh edge draws: a 449 x 72 grid's temporaries
+    cost more than its arithmetic."""
+    left *= 1.0 - w
+    right *= w
+    left += right
+    left *= amplitude
+    return left
 
 
 class _ProfileTable:
@@ -155,22 +242,25 @@ class _ProfileTable:
             self.rows.extend(by_coin[coin])
         self.time = np.array([p.time for p in self.rows], dtype=np.float64)
 
-    def pairs(self, coin_ids: np.ndarray, hours: np.ndarray):
-        """Expand query elements into (element, profile) pairs.
+    def pairs(self, coins: np.ndarray, hours: np.ndarray):
+        """Expand query rows into (row, profile) pairs.
 
-        Returns ``(sel, rep, prof, d)`` — the elements that have any profile,
-        the element index of each pair, the flat profile index of each pair,
-        and the hour offset from the pump — or ``None`` when no element's
-        coin has registered profiles.
+        ``hours`` is ``(1, K)`` (one hour row every coin shares) or
+        ``(R, 1)`` (one hour per row; see :func:`_rows`).  Returns
+        ``(sel, rep, prof, d)`` — the rows that have any profile, the row
+        of each pair, the flat profile index of each pair, and the
+        ``(pairs, K)`` hour offsets from the pump — or ``None`` when no
+        row's coin has registered profiles.
         """
-        counts = self.count[coin_ids]
+        counts = self.count[coins]
         sel = np.flatnonzero(counts)
         if len(sel) == 0:
             return None
         c = counts[sel]
         rep = np.repeat(sel, c)
-        prof = _concat_ranges(self.start[coin_ids[sel]], c)
-        d = hours[rep] - self.time[prof]
+        prof = _concat_ranges(self.start[coins[sel]], c)
+        row_hours = hours if len(hours) == 1 else hours[rep]
+        d = row_hours - self.time[prof][:, None]
         return sel, rep, prof, d
 
 
@@ -215,6 +305,28 @@ class _OverlayIndex(_ProfileTable):
         return vip
 
 
+def _accumulate(out: np.ndarray, pairs, branches) -> None:
+    """Add each (row, profile) pair's overlay term to its row of ``out``.
+
+    ``pairs`` is :meth:`_ProfileTable.pairs`' result and ``branches`` are
+    ``(mask, term)`` pairs: ``term(prof, d)`` is evaluated only on the
+    pair elements ``mask(d)`` selects, and every other element adds an
+    exact ``+0.0`` (the terms of the other branches are zeros there).
+    Pairs accumulate onto zeros with ``np.add.at`` in registration order,
+    as a per-profile loop would.
+    """
+    sel, rep, prof, d = pairs
+    per_element = np.broadcast_to(prof[:, None], d.shape)
+    term = np.zeros_like(d)
+    for mask, formula in branches:
+        m = mask(d)
+        if m.any():
+            term[m] = formula(per_element[m], d[m])
+    overlay = np.zeros_like(out)
+    np.add.at(overlay, rep, term)
+    out[sel] += overlay[sel]
+
+
 class MarketSimulator:
     """Deterministic OHLCV oracle for every coin at hour/minute resolution."""
 
@@ -243,12 +355,14 @@ class MarketSimulator:
         coins = np.arange(n, dtype=np.int64)
         self._price_keys = hash_uint64(self.seed, _PRICE_STREAM, coins)
         self._volume_keys = hash_uint64(self.seed, _VOLUME_STREAM, coins)
-        self._octave_keys = [hash_uint64(self.seed, _OCTAVE_STREAM, coins, j)
-                             for j in range(len(_OCTAVE_PERIODS))]
-        self._burst_keys = [
+        self._octave_keys = np.stack([
+            hash_uint64(self.seed, _OCTAVE_STREAM, coins, j)
+            for j in range(len(_OCTAVE_PERIODS))
+        ])
+        self._burst_keys = np.stack([
             hash_uint64(self.seed, _VOLUME_BURST_STREAM, coins, j)
             for j in range(len(_VOLUME_BURST_PERIODS))
-        ]
+        ])
         # Every candle query draws hashed normals: import their inverse
         # CDF (scipy, ~0.3 s) with the simulator, not in the first query
         # a freshly booted server answers.
@@ -304,15 +418,6 @@ class MarketSimulator:
             )
         return coin_ids
 
-    def _interpolated(self, keys: np.ndarray, coin_ids: np.ndarray,
-                      hours: np.ndarray, period: float) -> np.ndarray:
-        """Smoothstep between hashed per-block normals of one stream."""
-        block = np.floor(hours / period).astype(np.int64)
-        frac = hours / period - block
-        w = frac * frac * (3.0 - 2.0 * frac)  # smoothstep
-        left, right = _edge_normals(keys[coin_ids], block)
-        return (1.0 - w) * left + w * right
-
     # -- price ---------------------------------------------------------------
 
     def _seasonal(self, coin_ids: np.ndarray, hours: np.ndarray) -> np.ndarray:
@@ -321,59 +426,61 @@ class MarketSimulator:
         return self._amp1[c] * np.sin(2 * np.pi * h / self._period1[c] + self._phase1[c]) \
             + self._amp2[c] * np.sin(2 * np.pi * h / self._period2[c] + self._phase2[c])
 
-    def _add_price_overlay(self, out: np.ndarray, coin_ids: np.ndarray,
+    def _add_price_overlay(self, out: np.ndarray, coins: np.ndarray,
                            hours: np.ndarray) -> None:
-        """Add event overlays to flat log-prices, vectorized over all coins.
+        """Add pump-event overlays to log-price rows (see :func:`_rows`).
 
-        Every (query element, pump profile) pair is expanded into flat
-        arrays, evaluated with the same elementwise formulas as the original
-        per-coin loop, and accumulated with ``np.add.at`` in registration
-        order — bit-for-bit identical to looping coins and profiles.
+        Each (row, profile) pair evaluates only its own branch: the
+        pre-pump terms before the pump, the rise inside its peak minutes
+        and the decay after them.  The other branches' terms are exact
+        zeros there, so the sums are those of evaluating every term on
+        every pair.
         """
-        pairs = self._overlays().pairs(coin_ids, hours)
+        ix = self._overlays()
+        pairs = ix.pairs(coins, hours)
         if pairs is None:
             return
-        ix = self._overlays()
-        sel, rep, prof, d = pairs
-        # Pre-accumulation micro-premium: makes returns measured from
-        # x=72 slightly smaller than from x=60, as in Figure 4(c).
-        pre = np.where((d >= -76) & (d < -61), 0.012, 0.0)
-        # Accumulation ramp over [-61, 0).
-        ramp_frac = np.clip((d + 61.0) / 60.0, 0.0, 1.0)
-        accum = np.where(d < 0, ix.accum[prof] * ramp_frac, 0.0)
-        # VIP pre-pump hikes: short gaussian bumps.
-        vip = ix.vip_sum(prof, d, width=0.8, scale=1.0)
-        # Pump spike and dump decay.
         peak_at = PUMP_PEAK_MINUTES / 60.0
-        rise = np.where(
-            (d >= 0) & (d < peak_at),
-            ix.accum[prof] + (ix.peak[prof] - ix.accum[prof]) * (d / peak_at),
-            0.0,
-        )
-        decay = np.where(
-            d >= peak_at,
-            ix.settle[prof]
-            + (ix.peak[prof] - ix.settle[prof])
-            * np.exp(-np.maximum(d - peak_at, 0.0) / ix.tau[prof]),
-            0.0,
-        )
-        overlay = np.zeros_like(out)
-        np.add.at(overlay, rep, pre + accum + vip + rise + decay)
-        out[sel] += overlay[sel]
 
-    def _octave_noise(self, coin_ids: np.ndarray, hours: np.ndarray) -> np.ndarray:
-        """Brownian-like idiosyncratic price noise, O(octaves) per query.
+        def before(p, d):
+            # Pre-accumulation micro-premium: makes returns measured from
+            # x=72 slightly smaller than from x=60, as in Figure 4(c).
+            pre = np.where((d >= -76) & (d < -61), 0.012, 0.0)
+            # Accumulation ramp over [-61, 0).
+            ramp_frac = np.clip((d + 61.0) / 60.0, 0.0, 1.0)
+            # VIP pre-pump hikes: short gaussian bumps.
+            return (pre + ix.accum[p] * ramp_frac
+                    + ix.vip_sum(p, d, width=0.8, scale=1.0))
 
-        Each octave interpolates hashed per-block normals with a smoothstep,
-        giving a continuous path whose x-hour increments have standard
-        deviation roughly ``_OCTAVE_SIGMA * sqrt(x)``.
+        def rise(p, d):  # the pump spike
+            return ix.accum[p] + (ix.peak[p] - ix.accum[p]) * (d / peak_at)
+
+        def decay(p, d):  # the dump
+            return ix.settle[p] + (ix.peak[p] - ix.settle[p]) * np.exp(
+                -(d - peak_at) / ix.tau[p]
+            )
+
+        _accumulate(out, pairs, (
+            (lambda d: d < 0, before),
+            (lambda d: (d >= 0) & (d < peak_at), rise),
+            (lambda d: d >= peak_at, decay),
+        ))
+
+    def _price_rows(self, coins: np.ndarray, hours: np.ndarray):
+        """Hourly and octave log-price noise of query rows.
+
+        The octaves are Brownian-like idiosyncratic noise: each
+        interpolates hashed per-block normals with a smoothstep, giving a
+        continuous path whose x-hour increments have standard deviation
+        roughly ``_OCTAVE_SIGMA * sqrt(x)``.
         """
-        out = np.zeros(np.broadcast_shapes(coin_ids.shape, hours.shape))
-        for keys, period in zip(self._octave_keys, _OCTAVE_PERIODS):
-            amplitude = _OCTAVE_SIGMA * np.sqrt(period)
-            out = out + amplitude * self._interpolated(keys, coin_ids, hours,
-                                                       period)
-        return out * self._octave_scale[coin_ids]
+        c = coins[:, None]
+        hourly = self._sigma[c] * normal_from_bits(
+            extend_hash(self._price_keys[c], np.floor(hours).astype(np.int64))
+        )
+        octaves = _interpolated(self._octave_keys, _OCTAVE_PERIOD_ARRAY,
+                                _OCTAVE_AMPLITUDES, coins, hours)
+        return hourly, octaves * self._octave_scale[c]
 
     def price_noise(self, coin_ids: np.ndarray, hours: np.ndarray):
         """Idiosyncratic log-price noise as ``(hourly, octaves)``.
@@ -382,11 +489,10 @@ class MarketSimulator:
         squeeze damps their sum.  ``coin_ids`` (int64) and ``hours``
         broadcast together.
         """
-        hour_idx = np.floor(hours).astype(np.int64)
-        hourly = self._sigma[coin_ids] * normal_from_bits(
-            extend_hash(self._price_keys[coin_ids], hour_idx)
-        )
-        return hourly, self._octave_noise(coin_ids, hours)
+        coins, rows, shape = _rows(np.asarray(coin_ids, dtype=np.int64),
+                                   np.asarray(hours, dtype=float))
+        hourly, octaves = self._price_rows(coins, rows)
+        return hourly.reshape(shape), octaves.reshape(shape)
 
     def market_mood(self, hours) -> np.ndarray:
         """Latent investor-mood process in roughly [-2, 2].
@@ -406,13 +512,14 @@ class MarketSimulator:
 
     def log_close(self, coin_ids, hours) -> np.ndarray:
         """Log close price; ``coin_ids`` and ``hours`` broadcast together."""
-        coin_ids = self._coin_index(coin_ids)
-        hours = np.asarray(hours, dtype=float)
-        noise, octaves = self.price_noise(coin_ids, hours)
-        base = np.log(self.universe.base_price[coin_ids])
-        out = base + self._seasonal(coin_ids, hours) + noise + octaves
+        coins, hours, shape = _rows(self._coin_index(coin_ids),
+                                    np.asarray(hours, dtype=float))
+        noise, octaves = self._price_rows(coins, hours)
+        c = coins[:, None]
+        base = np.log(self.universe.base_price[c])
+        out = base + self._seasonal(c, hours) + noise + octaves
         # Delayed mood impact on BTC (coin 0) for the forecasting task.
-        btc_mask = coin_ids == 0
+        btc_mask = c == 0
         if btc_mask.any():
             out = out + np.where(
                 btc_mask,
@@ -420,18 +527,12 @@ class MarketSimulator:
                 0.0,
             )
         # Apply event overlays only for coins that have any.
-        if self._profiles or self._phases is not None:
-            flat_coins, flat_hours = (
-                a.reshape(-1) for a in np.broadcast_arrays(coin_ids, hours)
-            )
-            flat_out = np.ascontiguousarray(out).reshape(-1)
-            if self._profiles:
-                self._add_price_overlay(flat_out, flat_coins, flat_hours)
-            if self._phases is not None:
-                self._phases.add_price_overlay(self, flat_out, flat_coins,
-                                               flat_hours)
-            out = flat_out.reshape(out.shape)
-        return out
+        if self._profiles:
+            self._add_price_overlay(out, coins, hours)
+        if self._phases is not None:
+            self._phases.add_price_overlay(self, out.reshape(-1),
+                                           *_flat(coins, hours))
+        return out.reshape(shape)
 
     def close_price(self, coin_ids, hours) -> np.ndarray:
         """Close price in pairing-coin units."""
@@ -450,57 +551,49 @@ class MarketSimulator:
 
     # -- volume ---------------------------------------------------------------
 
-    def _add_volume_overlay(self, out: np.ndarray, coin_ids: np.ndarray,
+    def _add_volume_overlay(self, out: np.ndarray, coins: np.ndarray,
                             hours: np.ndarray) -> None:
-        """Add event overlays to flat log-volumes (see ``_add_price_overlay``)."""
-        pairs = self._overlays().pairs(coin_ids, hours)
+        """Add pump-event overlays to log-volume rows (see
+        ``_add_price_overlay``)."""
+        ix = self._overlays()
+        pairs = ix.pairs(coins, hours)
         if pairs is None:
             return
-        ix = self._overlays()
-        sel, rep, prof, d = pairs
-        # Frequent-trading onset ~57h before the pump (Figure 4b).
-        ramp = np.where(
-            (d >= -57) & (d < 0), 0.55 * np.clip((d + 57.0) / 57.0, 0, 1), 0.0
-        )
-        vip = ix.vip_sum(prof, d, width=0.6, scale=28.0)
-        spike = np.where(
-            d >= 0,
-            ix.volpeak[prof] * np.exp(-np.maximum(d, 0) / 0.45),
-            0.0,
-        )
-        aftermath = np.where(d >= 0, 0.8 * np.exp(-np.maximum(d, 0) / 24.0), 0.0)
-        overlay = np.zeros_like(out)
-        np.add.at(overlay, rep, ramp + vip + spike + aftermath)
-        out[sel] += overlay[sel]
+
+        def before(p, d):
+            # Frequent-trading onset ~57h before the pump (Figure 4b).
+            ramp = np.where(d >= -57, 0.55 * np.clip((d + 57.0) / 57.0, 0, 1),
+                            0.0)
+            return ramp + ix.vip_sum(p, d, width=0.6, scale=28.0)
+
+        def after(p, d):  # the pump spike, then its aftermath
+            return (ix.volpeak[p] * np.exp(-d / 0.45)
+                    + 0.8 * np.exp(-d / 24.0))
+
+        _accumulate(out, pairs, (
+            (lambda d: d < 0, before),
+            (lambda d: d >= 0, after),
+        ))
 
     def hourly_volume(self, coin_ids, hours) -> np.ndarray:
         """Traded volume (pairing-coin units) during the hour ending at ``h``."""
-        coin_ids = self._coin_index(coin_ids)
-        hours = np.asarray(hours, dtype=float)
-        hour_idx = np.floor(hours).astype(np.int64)
-        noise = self._volume_sigma[coin_ids] * normal_from_bits(
-            extend_hash(self._volume_keys[coin_ids], hour_idx)
+        coins, hours, shape = _rows(self._coin_index(coin_ids),
+                                    np.asarray(hours, dtype=float))
+        c = coins[:, None]
+        noise = self._volume_sigma[c] * normal_from_bits(
+            extend_hash(self._volume_keys[c], np.floor(hours).astype(np.int64))
         )
-        bursts = np.zeros(np.broadcast_shapes(coin_ids.shape, hours.shape))
-        for keys, period in zip(self._burst_keys, _VOLUME_BURST_PERIODS):
-            bursts = bursts + _VOLUME_BURST_AMPLITUDE * self._interpolated(
-                keys, coin_ids, hours, period
-            )
+        bursts = _interpolated(self._burst_keys, _VOLUME_BURST_PERIOD_ARRAY,
+                               _VOLUME_BURST_AMPLITUDES, coins, hours)
         # Mild time-of-day seasonality (UTC evening is busier).
         tod = 0.25 * np.sin(2 * np.pi * (hours % 24) / 24.0 - 1.2)
-        log_volume = self._volume_base[coin_ids] + tod + noise + bursts
-        if self._profiles or self._phases is not None:
-            flat_coins, flat_hours = (
-                a.reshape(-1) for a in np.broadcast_arrays(coin_ids, hours)
-            )
-            flat = np.ascontiguousarray(log_volume).reshape(-1)
-            if self._profiles:
-                self._add_volume_overlay(flat, flat_coins, flat_hours)
-            if self._phases is not None:
-                self._phases.add_volume_overlay(self, flat, flat_coins,
-                                                flat_hours)
-            log_volume = flat.reshape(log_volume.shape)
-        return np.exp(log_volume)
+        log_volume = self._volume_base[c] + tod + noise + bursts
+        if self._profiles:
+            self._add_volume_overlay(log_volume, coins, hours)
+        if self._phases is not None:
+            self._phases.add_volume_overlay(self, log_volume.reshape(-1),
+                                            *_flat(coins, hours))
+        return np.exp(log_volume).reshape(shape)
 
     def window_volume_profile(self, coin_ids, pump_hour: float,
                               max_hours: int) -> np.ndarray:

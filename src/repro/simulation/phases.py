@@ -130,10 +130,11 @@ class PhaseIndex(_ProfileTable):
     def add_price_overlay(self, market, out: np.ndarray,
                           coin_ids: np.ndarray, hours: np.ndarray) -> None:
         """Accumulation run-up and pre-ignition noise damping (flat arrays)."""
-        pairs = self.pairs(coin_ids, hours)
+        pairs = self.pairs(coin_ids, hours[:, None])
         if pairs is None:
             return
         sel, rep, prof, d = pairs
+        d = d.reshape(-1)
         span = -ACCUMULATION_START
         ramp = self.runup[prof] * _smoothstep((d - ACCUMULATION_START) / span)
         # Carry the accumulated premium through the pump, then fade it with
@@ -160,10 +161,11 @@ class PhaseIndex(_ProfileTable):
     def add_volume_overlay(self, market, out: np.ndarray,
                            coin_ids: np.ndarray, hours: np.ndarray) -> None:
         """Accumulation lift, buy-side imbalance and ignition surge."""
-        pairs = self.pairs(coin_ids, hours)
+        pairs = self.pairs(coin_ids, hours[:, None])
         if pairs is None:
             return
         sel, rep, prof, d = pairs
+        d = d.reshape(-1)
         accum = (d >= ACCUMULATION_START) & (d < IGNITION_START)
         span = IGNITION_START - ACCUMULATION_START
         lift = np.where(

@@ -13,7 +13,6 @@ from repro.features import (
     NUMERIC_FEATURE_NAMES,
     coin_feature_matrix,
     encode_history,
-    market_feature_matrix,
     pad_coin_id,
 )
 from repro.markets import pump_candidates
@@ -31,10 +30,21 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def assembled(world):
+def assembler(world):
     source = SyntheticWorldSource(world)
-    result = collect(source, n_label=600)
-    return FeatureAssembler(source, result.dataset).assemble()
+    return FeatureAssembler(source, collect(source, n_label=600).dataset)
+
+
+@pytest.fixture(scope="module")
+def assembled(assembler):
+    return assembler.assemble()
+
+
+def market_columns(assembler, ids, time):
+    """The market-movement columns of ``candidate_block``."""
+    start = len(COIN_FEATURE_NAMES)
+    block = assembler.candidate_block(ids, time)
+    return block[:, start:start + len(MARKET_FEATURE_NAMES)]
 
 
 class TestCoinFeatures:
@@ -65,18 +75,18 @@ class TestCoinFeatures:
 
 
 class TestMarketFeatures:
-    def test_shape(self, world):
+    def test_shape(self, assembler):
         ids = np.arange(5, 10)
-        matrix = market_feature_matrix(world.market, ids, time=4000.0)
+        matrix = market_columns(assembler, ids, time=4000.0)
         assert matrix.shape == (5, len(MARKET_FEATURE_NAMES))
         assert np.isfinite(matrix).all()
 
-    def test_pumped_coin_shows_precursors(self, world):
+    def test_pumped_coin_shows_precursors(self, world, assembler):
         """The pumped coin's 60h return exceeds typical candidates' (A2)."""
         deltas = []
         for event in world.events.events[:20]:
             ids = np.array([event.coin_id, (event.coin_id + 17) % world.coins.n_coins])
-            matrix = market_feature_matrix(world.market, ids, event.time)
+            matrix = market_columns(assembler, ids, event.time)
             col = MARKET_FEATURE_NAMES.index("return_60h")
             deltas.append(matrix[0, col] - matrix[1, col])
         assert np.mean(deltas) > 0.03

@@ -15,7 +15,12 @@ import pytest
 from repro.core import HR_KS, evaluate_scores, predict_scores
 from repro.features import AssembledSplit
 from repro.features.coin import coin_feature_matrix
-from repro.features.market_windows import market_feature_matrix
+from repro.features.market_windows import (
+    MARKET_FEATURE_NAMES,
+    WINDOW_HOURS,
+    price_window_hours,
+    window_columns,
+)
 from repro.features.sequence import SEQUENCE_NUMERIC_NAMES, encode_history, pad_coin_id
 from repro.ml.scaling import StandardScaler
 from tests.conftest import TINY_ARCHS
@@ -42,7 +47,7 @@ def _assemble_direct(world, dataset):
     seq_len = world.config.sequence_length
     n = len(examples)
     n_numeric = 1 + len(coin_feature_matrix(market, np.array([3]), 100.0)[0]) \
-        + len(market_feature_matrix(market, np.array([3]), 100.0)[0])
+        + len(MARKET_FEATURE_NAMES)
     channel_idx = np.zeros(n, dtype=np.int64)
     coin_idx = np.zeros(n, dtype=np.int64)
     numeric = np.zeros((n, n_numeric))
@@ -64,10 +69,15 @@ def _assemble_direct(world, dataset):
         first = examples[rows[0]]
         coins = all_coins[rows]
         channel_feature = np.log(subscribers.get(first.channel_id, 1000) + 1.0)
+        hours = price_window_hours(first.time)[None, :]
         block = np.concatenate([
             np.full((len(rows), 1), channel_feature),
             coin_feature_matrix(market, coins, first.time),
-            market_feature_matrix(market, coins, first.time),
+            window_columns(
+                market, coins, market.log_close(coins[:, None], hours),
+                market.window_volume_profile(coins, first.time,
+                                             WINDOW_HOURS[-1]),
+            ),
         ], axis=1)
         history = dataset.history_before(first.channel_id, first.time, seq_len)
         sequence = encode_history(market, history, seq_len)

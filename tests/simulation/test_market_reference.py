@@ -1,12 +1,17 @@
 """The simulator's noise draws against their full-key reference formulas.
 
 ``MarketSimulator`` hashes each coin's stream prefix once and extends it
-per element, and takes octave/burst interpolation edges from a per-block
-table when the query is dense in blocks.  The reference below draws every
-value the direct way, ``hash_normal(seed, stream, coin, ..., hour or
-block)`` on fully broadcast arrays, and the two must agree bit for bit on
-every query shape: grids, flat per-element queries, scalars and empty
-queries, in a plain world, a world with pump events and a phase world.
+per element, takes octave/burst interpolation edges from a per-block
+table when the query is dense in blocks, and evaluates the pump overlays
+per (coin, profile) row in one branch per pair.  The reference below
+draws every value the direct way, ``hash_normal(seed, stream, coin, ...,
+hour or block)`` on fully broadcast arrays, and evaluates the pump
+overlays with its own copy of their formulas: every (element, profile)
+pair of the flat broadcast query, every branch through ``np.where`` and
+``np.add.at`` accumulation in registration order.  The two must agree bit
+for bit on every query shape: grids, flat per-element queries, scalars and
+empty queries, in a plain world, a world with pump events and a phase
+world.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.simulation.market import (
     _VOLUME_STREAM,
     MOOD_PRICE_COEFF,
     MOOD_PRICE_LAG,
+    PUMP_PEAK_MINUTES,
 )
 from repro.utils import ReproConfig, hash_normal
 
@@ -41,16 +47,120 @@ CFG = ReproConfig.tiny()
 BOUNDARY = 3 * 4096.0
 
 
+class _PumpOverlays:
+    """The pump-event overlays, flat pair by flat pair.
+
+    Built from the market's registered :class:`PumpProfile` objects, not
+    from its overlay tables: each query element is paired with every
+    profile of its coin in registration order, every term is evaluated on
+    every pair and selected with ``np.where``, and the pairs accumulate
+    into the element with ``np.add.at``.
+    """
+
+    def __init__(self, market: MarketSimulator):
+        n = market.universe.n_coins
+        rows = [(c, p) for c in sorted(market._profiles)
+                for p in market._profiles[c]]
+        self.count = np.bincount(np.array([c for c, _ in rows], dtype=np.int64),
+                                 minlength=n)
+        self.start = np.cumsum(self.count) - self.count
+
+        def column(field):
+            return np.array([getattr(p, field) for _, p in rows], dtype=float)
+
+        self.time = column("time")
+        self.accum = column("accum_log")
+        self.peak = column("peak_log")
+        self.settle = column("settle_log")
+        self.tau = column("dump_tau")
+        self.volpeak = column("volume_peak_log")
+        self.vip_count = np.array([len(p.vip_times) for _, p in rows],
+                                  dtype=np.int64)
+        self.vip_start = np.cumsum(self.vip_count) - self.vip_count
+        self.vip_time = np.array([t for _, p in rows for t in p.vip_times])
+        self.vip_size = np.array([v for _, p in rows for v in p.vip_sizes])
+
+    @staticmethod
+    def _ranges(starts, counts):
+        return np.concatenate(
+            [np.arange(s, s + k) for s, k in zip(starts, counts)]
+            + [np.zeros(0, dtype=np.int64)]
+        ).astype(np.int64)
+
+    def pairs(self, coin_ids, hours):
+        counts = self.count[coin_ids]
+        sel = np.flatnonzero(counts)
+        rep = np.repeat(sel, counts[sel])
+        prof = self._ranges(self.start[coin_ids[sel]], counts[sel])
+        return sel, rep, prof, hours[rep] - self.time[prof]
+
+    def vip_sum(self, prof, d, width, scale):
+        vip = np.zeros_like(d)
+        vcount = self.vip_count[prof]
+        vrep = np.repeat(np.arange(len(prof)), vcount)
+        vidx = self._ranges(self.vip_start[prof], vcount)
+        dv = d[vrep]
+        bump = np.where(
+            dv < 0,
+            self.vip_size[vidx] * scale
+            * np.exp(-0.5 * ((dv - self.vip_time[vidx]) / width) ** 2),
+            0.0,
+        )
+        np.add.at(vip, vrep, bump)
+        return vip
+
+    def add_price(self, out, coin_ids, hours):
+        sel, rep, prof, d = self.pairs(coin_ids, hours)
+        pre = np.where((d >= -76) & (d < -61), 0.012, 0.0)
+        ramp_frac = np.clip((d + 61.0) / 60.0, 0.0, 1.0)
+        accum = np.where(d < 0, self.accum[prof] * ramp_frac, 0.0)
+        vip = self.vip_sum(prof, d, width=0.8, scale=1.0)
+        peak_at = PUMP_PEAK_MINUTES / 60.0
+        rise = np.where(
+            (d >= 0) & (d < peak_at),
+            self.accum[prof]
+            + (self.peak[prof] - self.accum[prof]) * (d / peak_at),
+            0.0,
+        )
+        decay = np.where(
+            d >= peak_at,
+            self.settle[prof]
+            + (self.peak[prof] - self.settle[prof])
+            * np.exp(-np.maximum(d - peak_at, 0.0) / self.tau[prof]),
+            0.0,
+        )
+        overlay = np.zeros_like(out)
+        np.add.at(overlay, rep, pre + accum + vip + rise + decay)
+        out[sel] += overlay[sel]
+
+    def add_volume(self, out, coin_ids, hours):
+        sel, rep, prof, d = self.pairs(coin_ids, hours)
+        ramp = np.where(
+            (d >= -57) & (d < 0), 0.55 * np.clip((d + 57.0) / 57.0, 0, 1), 0.0
+        )
+        vip = self.vip_sum(prof, d, width=0.6, scale=28.0)
+        spike = np.where(
+            d >= 0, self.volpeak[prof] * np.exp(-np.maximum(d, 0) / 0.45), 0.0,
+        )
+        aftermath = np.where(d >= 0, 0.8 * np.exp(-np.maximum(d, 0) / 24.0),
+                             0.0)
+        overlay = np.zeros_like(out)
+        np.add.at(overlay, rep, ramp + vip + spike + aftermath)
+        out[sel] += overlay[sel]
+
+
 class _Reference:
     """Every draw hashes its full key over broadcast arrays.
 
-    Overlays come from the market's own overlay code; the reference is
-    passed to the phase overlays as their ``market``, so the squeeze's
-    price noise and the up-hour returns are reference values too.
+    Pump overlays come from :class:`_PumpOverlays`.  The phase overlays
+    are the market's own code, with the reference passed as their
+    ``market``, so the squeeze's price noise and the up-hour returns are
+    reference values too.
     """
 
     def __init__(self, market: MarketSimulator):
         self.market = market
+        self.overlays = _PumpOverlays(market)
 
     def _interpolated(self, stream, j, coin_ids, hours, period):
         seed = self.market.seed
@@ -94,7 +204,8 @@ class _Reference:
             )
         flat = np.ascontiguousarray(out).reshape(-1)
         if m._profiles:
-            m._add_price_overlay(flat, coin_ids.reshape(-1), hours.reshape(-1))
+            self.overlays.add_price(flat, coin_ids.reshape(-1),
+                                    hours.reshape(-1))
         if m._phases is not None:
             m._phases.add_price_overlay(self, flat, coin_ids.reshape(-1),
                                         hours.reshape(-1))
@@ -116,8 +227,8 @@ class _Reference:
         out = m._volume_base[coin_ids] + tod + noise + bursts
         flat = np.ascontiguousarray(out).reshape(-1)
         if m._profiles:
-            m._add_volume_overlay(flat, coin_ids.reshape(-1),
-                                  hours.reshape(-1))
+            self.overlays.add_volume(flat, coin_ids.reshape(-1),
+                                     hours.reshape(-1))
         if m._phases is not None:
             m._phases.add_volume_overlay(self, flat, coin_ids.reshape(-1),
                                          hours.reshape(-1))
@@ -280,6 +391,52 @@ class TestFlatAndDegenerateQueries:
         assert market.window_volume_profile(empty, BOUNDARY, 72).shape == (0, 72)
 
 
+def _busiest(market, k=4):
+    """The ``k`` coins holding the most profiles (pump and phase)."""
+    counts = _profile_counts(market)
+    return np.sort(np.argsort(-counts, kind="stable")[:k]).astype(np.int64)
+
+
+def _branch_hours(times):
+    """Hours around each pump: before it, inside its two peak minutes, at
+    and just after the peak, and 400+ hours on, where the volume spike
+    ``exp(-d / 0.45)`` has underflowed to exactly zero."""
+    offsets = np.array([-80.0, -61.0, -30.0, -0.5, 0.0, 0.25 / 60, 1.5 / 60,
+                        2.0 / 60, 3.0 / 60, 1.0, 30.0, 401.0, 2000.0])
+    return (np.asarray(times, dtype=float)[:, None] + offsets).reshape(-1)
+
+
+class TestOverlayBranches:
+    def test_grids_over_the_busiest_coins(self, market):
+        ref = _Reference(market)
+        coins = _busiest(market)
+        hours = _branch_hours(_pump_times(market, coins))[None, :]
+        _same(market.log_close(coins[:, None], hours),
+              ref.log_close(coins[:, None], hours))
+        _same(market.hourly_volume(coins[:, None], hours),
+              ref.hourly_volume(coins[:, None], hours))
+
+    def test_flat_queries_over_the_busiest_coins(self, market):
+        ref = _Reference(market)
+        coins, hours = [], []
+        for coin in _busiest(market):
+            own = _branch_hours(_pump_times(market, [coin]))
+            coins.append(np.full(len(own), coin))
+            hours.append(own)
+        coins, hours = np.concatenate(coins), np.concatenate(hours)
+        _same(market.log_close(coins, hours), ref.log_close(coins, hours))
+        _same(market.hourly_volume(coins, hours),
+              ref.hourly_volume(coins, hours))
+
+    def test_window_profiles_straddling_pumps(self, market):
+        ref = _Reference(market)
+        coins = _busiest(market)
+        for t in _pump_times(market, coins):
+            for pump in (t, t + 1.01, t + 36.5, t + 73.0, t + 500.0):
+                _same(market.window_volume_profile(coins, pump, 72),
+                      ref.window_volume_profile(coins, pump, 72))
+
+
 @pytest.fixture(scope="module")
 def event_market():
     return _events()
@@ -310,7 +467,8 @@ def test_vip_sum_matches_unmasked_form(event_market):
     coins = np.flatnonzero(ix.count)
     offsets = np.arange(-60.0, 6.0, 0.5)
     hours = (ix.time[ix.start[coins]][:, None] + offsets[None, :]).reshape(-1)
-    _, _, prof, d = ix.pairs(np.repeat(coins, len(offsets)), hours)
+    _, _, prof, d = ix.pairs(np.repeat(coins, len(offsets)), hours[:, None])
+    d = d.reshape(-1)
     assert (d < 0).any() and (d >= 0).any()
     for width, scale in ((0.8, 1.0), (0.6, 28.0)):
         expected = np.zeros_like(d)

@@ -217,6 +217,33 @@ class TestFeatureSafety:
             coin_feature_matrix(source.market, coin, 10**7)
 
 
+class TestCandidateBlock:
+    @pytest.mark.parametrize("backend", ["synthetic", "file"])
+    def test_stable_columns_equal_coin_feature_matrix(
+            self, backend, short_source, short_collection, dump_dir):
+        """A miss's coin-stable columns are the history encoder's rows,
+        bit for bit, on both backends."""
+        from repro.features import (
+            COIN_FEATURE_NAMES,
+            FeatureAssembler,
+            coin_feature_matrix,
+        )
+        from repro.markets import pump_candidates
+
+        source = (short_source if backend == "synthetic"
+                  else FileDatasetSource(dump_dir))
+        dataset = short_collection.dataset
+        assembler = FeatureAssembler(source, dataset)
+        stable = len(COIN_FEATURE_NAMES)
+        times = sorted({e.time for e in dataset.examples})
+        assert len(times) > 5
+        for time in times:
+            coins = pump_candidates(source.coins, 0, time)
+            block = assembler.candidate_block(coins, time)
+            expected = coin_feature_matrix(source.market, coins, time)
+            assert block[:, :stable].tobytes() == expected.tobytes()
+
+
 class TestMalformedNumerics:
     """Bad numeric values must become SourceDataError, never ValueError."""
 
